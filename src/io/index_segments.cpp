@@ -1,6 +1,7 @@
 #include "io/index_segments.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -8,6 +9,7 @@
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "io/xml_parser.hpp"
 #include "io/xml_writer.hpp"
 
@@ -84,13 +86,19 @@ void write_file_atomic(const std::filesystem::path& target,
   return out;
 }
 
-void render_entry_xml(XmlWriter& w, const RepoEntry& entry) {
+}  // namespace
+
+void write_entry_xml(XmlWriter& w, const RepoEntry& entry) {
   w.open_element("entry");
   w.attribute("id", entry.id);
   w.attribute("file", entry.file);
   w.attribute("format", std::string_view(repo_format_name(entry.format)));
   if (!entry.meta.empty()) w.attribute("meta", entry.meta);
   if (!entry.sev.empty()) w.attribute("sev", entry.sev);
+  if (entry.digest) {
+    w.attribute("digest", digest_hex(*entry.digest));
+    w.attribute("bytes", std::to_string(entry.bytes));
+  }
   for (const auto& [key, value] : entry.attributes) {
     w.open_element("attr");
     w.attribute("key", key);
@@ -100,13 +108,26 @@ void render_entry_xml(XmlWriter& w, const RepoEntry& entry) {
   w.close_element();
 }
 
-[[nodiscard]] RepoEntry entry_from_xml(const XmlNode& node) {
+RepoEntry entry_from_xml(const XmlNode& node) {
   RepoEntry entry;
   entry.id = std::string(node.required_attr("id"));
   entry.file = std::string(node.required_attr("file"));
   entry.format = parse_repo_format(node.attr("format").value_or("xml"));
   entry.meta = std::string(node.attr("meta").value_or(""));
   entry.sev = std::string(node.attr("sev").value_or(""));
+  // A malformed digest/bytes pair reads as absent: the repository then
+  // hashes the file once, as it does for records of older binaries.
+  std::uint64_t digest = 0;
+  std::uint64_t bytes = 0;
+  const std::string_view digest_text = node.attr("digest").value_or("");
+  const std::string_view bytes_text = node.attr("bytes").value_or("");
+  const auto parsed = std::from_chars(
+      bytes_text.data(), bytes_text.data() + bytes_text.size(), bytes);
+  if (parse_hex64(digest_text, digest) && parsed.ec == std::errc() &&
+      parsed.ptr == bytes_text.data() + bytes_text.size()) {
+    entry.digest = digest;
+    entry.bytes = bytes;
+  }
   for (const XmlNode* attr : node.children_named("attr")) {
     entry.attributes[std::string(attr->required_attr("key"))] =
         std::string(attr->required_attr("value"));
@@ -114,13 +135,11 @@ void render_entry_xml(XmlWriter& w, const RepoEntry& entry) {
   return entry;
 }
 
-}  // namespace
-
 std::string render_entry_record(const RepoEntry& entry) {
   std::ostringstream out;
   {
     XmlWriter w(out);
-    render_entry_xml(w, entry);
+    write_entry_xml(w, entry);
   }
   return std::move(out).str();
 }
@@ -202,9 +221,9 @@ void SegmentedIndex::write_manifest(const std::vector<std::string>& names) {
   manifest_digest_ = fnv1a(bytes);
 }
 
-void SegmentedIndex::apply_record(std::string_view payload,
-                                  const std::string& name,
-                                  std::vector<RepoEntry>& entries) {
+namespace {
+
+IndexRecord parse_record(std::string_view payload, const std::string& name) {
   std::unique_ptr<XmlNode> node;
   try {
     node = parse_xml(payload);
@@ -212,32 +231,25 @@ void SegmentedIndex::apply_record(std::string_view payload,
     throw IoError("segment '" + name +
                   "': checksummed record holds malformed XML: " + e.what());
   }
+  IndexRecord record;
   if (node->name == "remove") {
-    const std::string id(node->required_attr("id"));
-    const auto it = std::find_if(
-        entries.begin(), entries.end(),
-        [&](const RepoEntry& e) { return e.id == id; });
-    if (it != entries.end()) entries.erase(it);
-    return;
+    record.remove = true;
+    record.entry.id = std::string(node->required_attr("id"));
+    return record;
   }
   if (node->name != "entry") {
     throw IoError("segment '" + name + "': unknown record element <" +
                   node->name + ">");
   }
-  RepoEntry entry = entry_from_xml(*node);
-  const auto it = std::find_if(
-      entries.begin(), entries.end(),
-      [&](const RepoEntry& e) { return e.id == entry.id; });
-  if (it != entries.end()) {
-    *it = std::move(entry);
-  } else {
-    entries.push_back(std::move(entry));
-  }
+  record.entry = entry_from_xml(*node);
+  return record;
 }
+
+}  // namespace
 
 SegmentedIndex::ParseResult SegmentedIndex::parse_records(
     std::string_view data, std::uint64_t offset, const std::string& name,
-    std::vector<RepoEntry>& entries) {
+    std::vector<IndexRecord>& records) {
   ParseResult result;
   result.valid_bytes = offset;
   std::size_t pos = 0;
@@ -279,7 +291,7 @@ SegmentedIndex::ParseResult SegmentedIndex::parse_records(
     const std::string_view payload = data.substr(payload_at, len);
     if (data[payload_at + len] != '\n') break;
     if (fnv1a(payload) != digest) break;  // torn or bit-rotted tail
-    apply_record(payload, name, entries);
+    records.push_back(parse_record(payload, name));
     pos = payload_at + len + 1;
     result.valid_bytes = offset + pos;
     ++result.records;
@@ -287,15 +299,15 @@ SegmentedIndex::ParseResult SegmentedIndex::parse_records(
   return result;
 }
 
-void SegmentedIndex::load(std::vector<RepoEntry>& entries) {
+void SegmentedIndex::load(EntryTable& entries) {
   read_manifest();
-  entries.clear();
   segments_.clear();
   records_total_ = 0;
+  std::vector<IndexRecord> records;
   for (const std::string& name : names_) {
     const std::filesystem::path path = segment_path(name);
     const std::string data = read_file_bytes(path);
-    const ParseResult parsed = parse_records(data, 0, name, entries);
+    const ParseResult parsed = parse_records(data, 0, name, records);
     SegmentState state;
     state.name = name;
     state.parsed_bytes = parsed.valid_bytes;
@@ -304,18 +316,11 @@ void SegmentedIndex::load(std::vector<RepoEntry>& entries) {
     records_total_ += parsed.records;
     segments_.push_back(std::move(state));
   }
+  entries.assign({});
+  entries.replay(std::move(records));
 }
 
-bool SegmentedIndex::refresh(std::vector<RepoEntry>& entries) {
-  const std::string manifest_bytes =
-      read_file_bytes(index_dir() / kManifestName);
-  if (fnv1a(manifest_bytes) != manifest_digest_) {
-    // Segment list changed (another process sealed or compacted): replay
-    // everything.
-    load(entries);
-    return true;
-  }
-  // Same manifest: only the active segment can have grown.
+bool SegmentedIndex::read_active_tail(EntryTable& entries) {
   SegmentState& active = segments_.back();
   const std::filesystem::path path = segment_path(active.name);
   std::error_code ec;
@@ -330,13 +335,28 @@ bool SegmentedIndex::refresh(std::vector<RepoEntry>& entries) {
   }
   if (size == active.parsed_bytes && !active.torn_tail) return false;
   const std::string tail = read_file_bytes(path, active.parsed_bytes);
+  std::vector<IndexRecord> records;
   const ParseResult parsed =
-      parse_records(tail, active.parsed_bytes, active.name, entries);
+      parse_records(tail, active.parsed_bytes, active.name, records);
   active.parsed_bytes = parsed.valid_bytes;
   active.records += parsed.records;
   active.torn_tail = parsed.valid_bytes < size;
   records_total_ += parsed.records;
+  entries.replay(std::move(records));
   return parsed.records > 0;
+}
+
+bool SegmentedIndex::refresh(EntryTable& entries) {
+  const std::string manifest_bytes =
+      read_file_bytes(index_dir() / kManifestName);
+  if (fnv1a(manifest_bytes) != manifest_digest_) {
+    // Segment list changed (another process sealed or compacted): replay
+    // everything.
+    load(entries);
+    return true;
+  }
+  // Same manifest: only the active segment can have grown.
+  return read_active_tail(entries);
 }
 
 void SegmentedIndex::append_frame(std::string_view payload) {
@@ -405,8 +425,7 @@ bool SegmentedIndex::should_compact(std::size_t live_count) const noexcept {
   return dead >= kCompactMinDead && dead > live_count;
 }
 
-SegmentedIndex::CompactResult SegmentedIndex::compact(
-    std::vector<RepoEntry>& live) {
+SegmentedIndex::CompactResult SegmentedIndex::compact(EntryTable& live) {
   CompactResult result;
   // Another process may have written since our last load/refresh; those
   // records must survive the compaction or they are silently destroyed
@@ -420,22 +439,7 @@ SegmentedIndex::CompactResult SegmentedIndex::compact(
     load(live);
     result.entries_changed = true;
   } else {
-    SegmentState& active = segments_.back();
-    const std::filesystem::path path = segment_path(active.name);
-    std::error_code ec;
-    const std::uint64_t size = std::filesystem::file_size(path, ec);
-    if (ec) {
-      throw IoError("cannot stat segment '" + path.string() + "'");
-    }
-    if (size > active.parsed_bytes || active.torn_tail) {
-      const std::string tail = read_file_bytes(path, active.parsed_bytes);
-      const ParseResult parsed =
-          parse_records(tail, active.parsed_bytes, active.name, live);
-      active.parsed_bytes = parsed.valid_bytes;
-      active.records += parsed.records;
-      records_total_ += parsed.records;
-      result.entries_changed = parsed.records > 0;
-    }
+    result.entries_changed = read_active_tail(live);
   }
   // Write the compacted segment under the next free number, a fresh
   // active segment after it, then commit both through the MANIFEST
@@ -450,7 +454,7 @@ SegmentedIndex::CompactResult SegmentedIndex::compact(
   const std::string fresh = segment_name_for(max + 2);
   std::string body;
   std::uint64_t body_records = 0;
-  for (const RepoEntry& entry : live) {
+  for (const RepoEntry& entry : live.entries()) {
     body += frame_record(render_entry_record(entry));
     ++body_records;
   }

@@ -41,9 +41,13 @@
 #include <vector>
 
 #include "common/thread_safety.hpp"
+#include "io/entry_table.hpp"
 #include "io/repo_entry.hpp"
 
 namespace cube {
+
+struct XmlNode;
+class XmlWriter;
 
 /// Manages the index/ directory of one repository.  Not thread-safe: the
 /// owning ExperimentRepository serializes access through its own lock.
@@ -83,12 +87,13 @@ class CUBE_CAPABILITY("repository index") SegmentedIndex {
   /// `entries` (cleared first) in store order.  Torn final frames are
   /// tolerated (see header comment).  Throws IoError/ParseError on a
   /// missing or corrupt manifest/segment.
-  void load(std::vector<RepoEntry>& entries) CUBE_REQUIRES(*this);
+  void load(EntryTable& entries) CUBE_REQUIRES(*this);
 
   /// Picks up changes written by another process: a changed MANIFEST
   /// triggers a full reload; an unchanged one re-parses only the active
-  /// segment's appended tail.  Returns true if `entries` changed.
-  bool refresh(std::vector<RepoEntry>& entries) CUBE_REQUIRES(*this);
+  /// segment's appended tail and applies it to `entries` incrementally.
+  /// Returns true if `entries` changed.
+  bool refresh(EntryTable& entries) CUBE_REQUIRES(*this);
 
   /// Appends one store record to the active segment, sealing it first if
   /// full.  The caller updates its entry list itself.
@@ -108,7 +113,7 @@ class CUBE_CAPABILITY("repository index") SegmentedIndex {
   /// records another process appended since the last load/refresh are
   /// replayed into `live` (a changed MANIFEST triggers a full reload, an
   /// unchanged one a tail re-parse) so compaction never destroys them.
-  CompactResult compact(std::vector<RepoEntry>& live) CUBE_REQUIRES(*this);
+  CompactResult compact(EntryTable& live) CUBE_REQUIRES(*this);
 
   /// True when enough tombstone/overwrite waste accumulated that
   /// compact() is worthwhile (`live_count` = current entry count).
@@ -160,17 +165,20 @@ class CUBE_CAPABILITY("repository index") SegmentedIndex {
   [[nodiscard]] std::string next_segment_name() const;
   void write_manifest(const std::vector<std::string>& names);
   void read_manifest();
-  /// Parses records in `data` starting at `offset`, applying them to
-  /// `entries`; returns the valid byte prefix and record count applied.
+  /// Parses the records in `data` (which starts at byte `offset` of the
+  /// segment), appending them to `records`; returns the valid byte
+  /// prefix and the record count.
   struct ParseResult {
     std::uint64_t valid_bytes = 0;
     std::uint64_t records = 0;
   };
   ParseResult parse_records(std::string_view data, std::uint64_t offset,
                             const std::string& name,
-                            std::vector<RepoEntry>& entries);
-  void apply_record(std::string_view payload, const std::string& name,
-                    std::vector<RepoEntry>& entries);
+                            std::vector<IndexRecord>& records);
+  /// Re-parses the active segment's tail past what was last seen and
+  /// applies it to `entries` (a truncated segment triggers a full
+  /// reload); returns true if `entries` changed.
+  bool read_active_tail(EntryTable& entries) CUBE_REQUIRES(*this);
   /// Seals the active segment and starts a fresh one (MANIFEST rewrite).
   void seal_active();
   void append_frame(std::string_view payload);
@@ -185,5 +193,12 @@ class CUBE_CAPABILITY("repository index") SegmentedIndex {
 /// Renders / parses one record payload (exposed for tests and lint).
 [[nodiscard]] std::string render_entry_record(const RepoEntry& entry);
 [[nodiscard]] std::string render_remove_record(const std::string& id);
+
+/// The <entry> element both index layouts share: the segment record
+/// payload and each child of the legacy index.xml.  Attributes a reader
+/// does not know are ignored, so records written by a newer binary stay
+/// readable; `digest`/`bytes` are optional (older binaries omit them).
+void write_entry_xml(XmlWriter& w, const RepoEntry& entry);
+[[nodiscard]] RepoEntry entry_from_xml(const XmlNode& node);
 
 }  // namespace cube

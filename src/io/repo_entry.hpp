@@ -3,11 +3,18 @@
 // (repository.hpp) and the segmented index codec (index_segments.hpp).
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace cube {
+
+/// Attribute under which the query engine records a derived cube's cache
+/// key when persisting it into the repository.  The repository indexes it
+/// like any attribute; ExperimentRepository::cached() is its lookup.
+inline constexpr const char* kCacheKeyAttribute = "cube::cache-key";
 
 /// On-disk encoding of a stored experiment.
 enum class RepoFormat {
@@ -27,6 +34,14 @@ struct RepoEntry {
   /// Hex digest of the referenced CUBESEV1 severity blob; empty unless
   /// the entry is columnar.
   std::string sev;
+  /// FNV-1a of the experiment file's bytes, computed by store() over the
+  /// buffer it writes — the value digest_file() gives for the file.  Absent
+  /// only while an entry written by an older binary awaits its one-time
+  /// hash (the repository fills it when it reads the record), or when that
+  /// hash failed because the file was unreadable.
+  std::optional<std::uint64_t> digest;
+  /// Size of the experiment file in bytes, recorded alongside `digest`.
+  std::uint64_t bytes = 0;
   /// The experiment's attributes at store time (name, kind, provenance,
   /// plus anything the producing tool attached) — the queryable part.
   std::map<std::string, std::string> attributes;

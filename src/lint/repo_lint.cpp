@@ -19,10 +19,10 @@ namespace cube::lint {
 namespace {
 
 // Attribute names the query engine stamps onto cached results; see
-// src/query/planner.hpp (kCacheKeyAttribute / kCacheExprAttribute).  Spelled
-// out here because lint sits below the query layer (the engine calls INTO
-// lint for load validation).
-constexpr const char* kCacheKey = "cube::cache-key";
+// src/query/planner.hpp (kCacheExprAttribute / kCacheOperandsAttribute).
+// Spelled out here because lint sits below the query layer (the engine
+// calls INTO lint for load validation); the cache key itself is named by
+// the repository index (kCacheKeyAttribute).
 constexpr const char* kCacheExpr = "cube::cache-expr";
 constexpr const char* kCacheOperands = "cube::cache-operands";
 
@@ -54,6 +54,19 @@ std::vector<OperandRef> parse_operand_refs(const std::string& expr) {
   return refs;
 }
 
+constexpr const char* kDigestMismatch = "repo.digest-mismatch";
+
+std::string digest_mismatch_message(std::uint64_t recorded,
+                                    std::uint64_t actual) {
+  return "file hashes to " + digest_hex(actual) +
+         " but its index record carries digest " + digest_hex(recorded);
+}
+
+constexpr const char* kDigestMismatchHint =
+    "the file was changed outside the repository; queries still key it "
+    "by the recorded digest, so cached results over it are wrong — "
+    "re-store the experiment through the repository";
+
 /// Splits a kCacheOperands attribute ("hex hex hex ...") into tokens.
 std::vector<std::string> split_operand_digests(const std::string& value) {
   std::vector<std::string> out;
@@ -67,8 +80,9 @@ std::vector<std::string> split_operand_digests(const std::string& value) {
   return out;
 }
 
-void lint_cache_entry(const ExperimentRepository& repo, const RepoEntry& entry,
+void lint_cache_entry(const RepoEntry& entry,
                       const std::map<std::string, const RepoEntry*>& by_id,
+                      const std::map<std::string, std::uint64_t>& current,
                       const std::set<std::string>& file_digests,
                       DiagnosticSink& sink) {
   // Digest-keyed staleness (the daemon's shared result cache, which keys
@@ -91,8 +105,8 @@ void lint_cache_entry(const ExperimentRepository& repo, const RepoEntry& entry,
   }
   const auto expr = entry.attributes.find(kCacheExpr);
   if (expr == entry.attributes.end()) {
-    sink.warning("repo.stale-cache", "attribute \"" + std::string(kCacheKey) +
-                                         "\"",
+    sink.warning("repo.stale-cache",
+                 "attribute \"" + std::string(kCacheKeyAttribute) + "\"",
                  "cached result records no canonical expression",
                  "without " + std::string(kCacheExpr) +
                      " the entry can never be reused; remove it");
@@ -108,17 +122,15 @@ void lint_cache_entry(const ExperimentRepository& repo, const RepoEntry& entry,
                    "entry");
       continue;
     }
-    std::uint64_t current = 0;
-    try {
-      current = digest_file(repo.directory() / it->second->file);
-    } catch (const Error&) {
+    const auto now = current.find(it->second->file);
+    if (now == current.end()) {
       continue;  // the missing/unreadable file gets its own diagnostic
     }
-    if (digest_hex(current) != ref.hex) {
+    if (digest_hex(now->second) != ref.hex) {
       sink.warning("repo.stale-cache", "operand \"" + ref.id + "\"",
                    "operand file changed since the result was cached "
                    "(recorded digest " + ref.hex + ", file now hashes to " +
-                       digest_hex(current) + ")",
+                       digest_hex(now->second) + ")",
                    "the engine will recompute and re-store; remove the "
                    "stale entry to reclaim space");
     }
@@ -287,12 +299,15 @@ void lint_repository(const std::filesystem::path& directory,
     }
   }
 
-  // Digests of every entry file, for the digest-resolution cache check.
+  // What every entry file hashes to now (keyed by file name), for the
+  // recorded-digest and cache staleness checks.
+  std::map<std::string, std::uint64_t> current;
   std::set<std::string> file_digests;
   for (const RepoEntry& entry : repo->entries()) {
     try {
-      file_digests.insert(
-          digest_hex(digest_file(directory / entry.file)));
+      const std::uint64_t digest = digest_file(directory / entry.file);
+      current.emplace(entry.file, digest);
+      file_digests.insert(digest_hex(digest));
     } catch (const Error&) {
       // unreadable files get their own diagnostic below
     }
@@ -305,6 +320,13 @@ void lint_repository(const std::filesystem::path& directory,
       sink.error("repo.missing-file", entry.file,
                  "file listed in the index does not exist");
       continue;
+    }
+    const auto now = current.find(entry.file);
+    if (entry.digest && now != current.end() &&
+        now->second != *entry.digest) {
+      sink.error(kDigestMismatch, entry.file,
+                 digest_mismatch_message(*entry.digest, now->second),
+                 kDigestMismatchHint);
     }
     // Blobs may sit flat (legacy) or in their digest-prefix shard.
     const auto blob_present = [&](const char* dir_name,
@@ -328,14 +350,25 @@ void lint_repository(const std::filesystem::path& directory,
       continue;
     }
     lint_file(file, sink, options, repo->resolver(), repo->sev_resolver());
-    if (entry.attributes.count(kCacheKey) != 0) {
-      lint_cache_entry(*repo, entry, by_id, file_digests, sink);
+    if (entry.attributes.count(kCacheKeyAttribute) != 0) {
+      lint_cache_entry(entry, by_id, current, file_digests, sink);
     }
   }
 
   lint_blobs(*repo, sink, options);
   lint_segments(*repo, sink);
   sink.set_subject(old_subject);
+}
+
+void require_digest(const std::filesystem::path& path,
+                    std::uint64_t recorded) {
+  const std::uint64_t actual = digest_file(path);
+  if (actual == recorded) return;
+  throw ValidationError(path.string() +
+                        " failed validation with 1 error(s): [" +
+                        kDigestMismatch + "] " +
+                        digest_mismatch_message(recorded, actual) + " (" +
+                        kDigestMismatchHint + ")");
 }
 
 }  // namespace cube::lint

@@ -99,6 +99,8 @@ constexpr RuleInfo kRules[] = {
      "entity pointers resolve into the same metadata instance"},
     {"repo.bad-index", kError, "repository",
      "the directory holds a parseable repository index"},
+    {"repo.digest-mismatch", kError, "repository",
+     "every indexed file hashes to the digest its index record carries"},
     {"repo.duplicate-id", kError, "repository",
      "repository entry ids are unique"},
     {"repo.misfiled-blob", kError, "repository",

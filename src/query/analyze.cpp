@@ -120,27 +120,6 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
   analysis.nodes.resize(n);
   std::vector<NodeState> state(n);
 
-  // Index attributes (entry kind, cached cubes) come from one snapshot —
-  // the same source the executor's cache pruning reads.
-  std::map<std::string, std::string> entry_kind;  // id -> "cube::kind"
-  std::map<std::string, std::pair<std::filesystem::path, std::uintmax_t>>
-      cached_files;  // cache key hex -> (file, size)
-  for (const RepoEntry& entry : repo.entries_snapshot()) {
-    const auto kind = entry.attributes.find("cube::kind");
-    if (kind != entry.attributes.end()) {
-      entry_kind.emplace(entry.id, kind->second);
-    }
-    if (!options.use_cache) continue;
-    const auto key = entry.attributes.find(kCacheKeyAttribute);
-    if (key != entry.attributes.end()) {
-      std::error_code ec;
-      const std::filesystem::path path = repo.directory() / entry.file;
-      std::uintmax_t size = std::filesystem::file_size(path, ec);
-      if (ec) size = 0;
-      cached_files.emplace(key->second, std::make_pair(path, size));
-    }
-  }
-
   const MetadataResolver resolver = repo.resolver();
 
   // --- bottom-up: geometry, compatibility, per-node cost ------------------
@@ -151,11 +130,8 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
     if (node.kind == PlanNode::Kind::Load) {
       cost.bytes_loaded = static_cast<std::uint64_t>(node.operand.bytes);
       cost.bytes_faulted = cost.bytes_loaded;
-      const auto kind_attr = entry_kind.find(node.operand.id);
-      state[i].kind = kind_attr != entry_kind.end() &&
-                              kind_attr->second == "derived"
-                          ? PlanKind::Derived
-                          : PlanKind::Original;
+      state[i].kind =
+          node.operand.derived ? PlanKind::Derived : PlanKind::Original;
 
       if (node.operand.meta_digest == 0) {
         // Legacy inline-metadata entry: geometry requires parsing the
@@ -391,9 +367,9 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
   // --- DAG totals under the executor's scheduling -------------------------
   // Every needed node's result shared_ptr lives until the whole DAG
   // finishes, so peak resident is the SUM over executed nodes.  The warm
-  // pass replays the executor's cache pruning: a cached apply node
-  // becomes a leaf (loaded from its stored cube) and its subtree never
-  // runs.
+  // pass replays the executor's cache pruning — the same cached() lookup
+  // per key: a cached apply node becomes a leaf (loaded from its stored
+  // cube, whose size the index records) and its subtree never runs.
   const auto total = [&](bool warm) {
     CostEstimate est;
     std::vector<char> needed(n, 0);
@@ -414,13 +390,13 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
         est.peak_resident_bytes += cost.result_bytes;
         continue;
       }
-      const auto hit = warm ? cached_files.find(digest_hex(node.key))
-                            : cached_files.end();
-      if (hit != cached_files.end()) {
+      const std::vector<RepoEntry> hits =
+          warm ? repo.cached(digest_hex(node.key)) : std::vector<RepoEntry>{};
+      if (!hits.empty()) {
         analysis.nodes[i].cached = true;
         ++est.cache_hits;
-        est.bytes_loaded += hit->second.second;
-        est.bytes_faulted += hit->second.second;
+        est.bytes_loaded += hits.front().bytes;
+        est.bytes_faulted += hits.front().bytes;
         // Cached cubes load as dense binary experiments.
         est.peak_resident_bytes += dense_bytes(cost.cells);
         continue;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "io/binary_format.hpp"
 #include "io/cube_format.hpp"
 #include "lint/lint.hpp"
+#include "lint/repo_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
@@ -28,21 +28,25 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// A repository file a cache hit will be served from.
-struct CachedCube {
+/// A repository file a load reads: an operand, or the cube a cache hit
+/// is served from.
+struct StoredFile {
   std::filesystem::path path;
   RepoFormat format = RepoFormat::Binary;
+  std::uint64_t digest = 0;  ///< recorded in the index
+  std::uint64_t bytes = 0;   ///< recorded in the index
 };
 
 // Loads go through the repository so blob-backed files resolve against its
 // meta/ directory and interner — a series of operands over one metadata
 // digest shares a single in-memory instance even when loaded from
-// different pool workers.
+// different pool workers.  Validation also re-hashes the file against its
+// recorded digest, catching edits made behind the repository's back.
 Experiment read_stored(const ExperimentRepository& repo,
-                       const std::filesystem::path& path, RepoFormat format,
-                       bool validate) {
-  Experiment experiment = repo.load_path(path, format);
-  if (validate) lint::require_valid(experiment, path.string());
+                       const StoredFile& file, bool validate) {
+  if (validate) lint::require_digest(file.path, file.digest);
+  Experiment experiment = repo.load_path(file.path, file.format);
+  if (validate) lint::require_valid(experiment, file.path.string());
   return experiment;
 }
 
@@ -116,24 +120,12 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
   stats.plan_nodes = plan.nodes.size();
   stats.cse_reused = plan.cse_reused;
 
-  // Snapshot the cached cubes (repository entries carrying a cache key).
-  std::map<std::string, CachedCube> cache;
-  if (options_.use_cache) {
-    for (const RepoEntry& entry : repo_.entries_snapshot()) {
-      const auto it = entry.attributes.find(kCacheKeyAttribute);
-      if (it != entry.attributes.end()) {
-        cache.emplace(it->second,
-                      CachedCube{repo_.directory() / entry.file,
-                                 entry.format});
-      }
-    }
-  }
-
-  // Decide per-node actions top-down: a cached apply node becomes a leaf
-  // and its operands are never touched (that is where warm queries win).
+  // Decide per-node actions top-down: a cached apply node (one whose key
+  // the index's cache-key lookup finds) becomes a leaf and its operands
+  // are never touched (that is where warm queries win).
   const std::size_t n = plan.nodes.size();
   std::vector<Action> action(n, Action::LoadOperand);
-  std::vector<CachedCube> cached(n);
+  std::vector<StoredFile> cached(n);
   std::vector<char> needed(n, 0);
   std::vector<std::size_t> stack{plan.root};
   while (!stack.empty()) {
@@ -146,11 +138,15 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
       action[i] = Action::LoadOperand;
       continue;
     }
-    const auto hit = cache.find(digest_hex(node.key));
-    if (hit != cache.end()) {
-      action[i] = Action::LoadCached;
-      cached[i] = hit->second;
-      continue;
+    if (options_.use_cache) {
+      const std::vector<RepoEntry> hits = repo_.cached(digest_hex(node.key));
+      if (!hits.empty()) {
+        const RepoEntry& hit = hits.front();
+        action[i] = Action::LoadCached;
+        cached[i] = StoredFile{repo_.directory() / hit.file, hit.format,
+                               hit.digest.value_or(0), hit.bytes};
+        continue;
+      }
     }
     action[i] = Action::Compute;
     for (const std::size_t child : node.args) stack.push_back(child);
@@ -217,9 +213,10 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
       case Action::LoadOperand: {
         OBS_SPAN("query.load");
         const auto t0 = Clock::now();
+        const StoredFile file{node.operand.path, node.operand.format,
+                              node.operand.digest, node.operand.bytes};
         auto e = std::make_shared<Experiment>(
-            read_stored(repo_, node.operand.path, node.operand.format,
-                        options_.validate_loads));
+            read_stored(repo_, file, options_.validate_loads));
         std::lock_guard<std::mutex> lock(mutex);
         results[i] = std::move(e);
         ++stats.operands_loaded;
@@ -230,16 +227,12 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
       case Action::LoadCached: {
         OBS_SPAN("query.load", "cache-hit");
         const auto t0 = Clock::now();
-        std::error_code ec;
-        const std::uintmax_t size =
-            std::filesystem::file_size(cached[i].path, ec);
         auto e = std::make_shared<Experiment>(
-            read_stored(repo_, cached[i].path, cached[i].format,
-                        options_.validate_loads));
+            read_stored(repo_, cached[i], options_.validate_loads));
         std::lock_guard<std::mutex> lock(mutex);
         results[i] = std::move(e);
         ++stats.cache_hits;
-        if (!ec) stats.bytes_loaded += size;
+        stats.bytes_loaded += cached[i].bytes;
         stats.load_ms += ms_since(t0);
         break;
       }
@@ -255,7 +248,7 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         if (options_.store_derived) {
           // The result self-describes its cache identity; the attributes
           // travel into the repository index, where the next plan's
-          // cache snapshot finds them.
+          // cache-key lookup finds them.
           out.set_attribute(kCacheKeyAttribute, digest_hex(node.key));
           out.set_attribute(kCacheExprAttribute, node.canonical);
           out.set_attribute(kCacheOperandsAttribute, operands_attr(i));

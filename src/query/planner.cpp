@@ -1,6 +1,7 @@
 #include "query/planner.hpp"
 
 #include <map>
+#include <optional>
 #include <string_view>
 
 #include "common/digest.hpp"
@@ -36,11 +37,11 @@ std::string options_tag(const OperatorOptions& options) {
 
 class Planner {
  public:
-  // Selector resolution iterates a SNAPSHOT of the index: the daemon
-  // plans while other sessions store derived results into the same
-  // repository, and an entries() reference could reallocate mid-walk.
+  // Each selector resolves through its own shared-locked lookup, which
+  // copies only its matches (never the whole index); a store or remove
+  // landing between two lookups of one plan is seen by the later ones.
   Planner(const ExperimentRepository& repo, const OperatorOptions& options)
-      : repo_(repo), entries_(repo.entries_snapshot()), options_(options) {}
+      : repo_(repo), options_(options) {}
 
   QueryPlan run(const QueryExpr& expr) {
     const std::vector<std::size_t> roots = plan_node(expr);
@@ -66,8 +67,8 @@ class Planner {
       case QueryExpr::Kind::Attr:
       case QueryExpr::Kind::Series: {
         std::vector<std::size_t> nodes;
-        for (const RepoEntry* entry : match_selector(expr)) {
-          nodes.push_back(load_node(*entry));
+        for (const RepoEntry& entry : match_selector(expr)) {
+          nodes.push_back(load_node(entry));
         }
         return nodes;
       }
@@ -131,32 +132,20 @@ class Planner {
     return index;
   }
 
-  const RepoEntry& find_id(const QueryExpr& expr) {
-    for (const RepoEntry& entry : entries_) {
-      if (entry.id == expr.name()) return entry;
+  RepoEntry find_id(const QueryExpr& expr) {
+    std::optional<RepoEntry> entry = repo_.find(expr.name());
+    if (!entry) {
+      throw Error("repository has no experiment with id '" + expr.name() +
+                  "' (referenced by " + expr.str() + ")");
     }
-    throw Error("repository has no experiment with id '" + expr.name() +
-                "' (referenced by " + expr.str() + ")");
+    return std::move(*entry);
   }
 
-  std::vector<const RepoEntry*> match_selector(const QueryExpr& expr) {
-    std::vector<const RepoEntry*> matches;
-    for (const RepoEntry& entry : entries_) {
-      if (is_cache_entry(entry)) continue;
-      if (expr.kind() == QueryExpr::Kind::Series) {
-        if (entry.id.rfind(expr.name(), 0) == 0) matches.push_back(&entry);
-        continue;
-      }
-      bool all = true;
-      for (const auto& [key, value] : expr.pairs()) {
-        const auto it = entry.attributes.find(key);
-        if (it == entry.attributes.end() || it->second != value) {
-          all = false;
-          break;
-        }
-      }
-      if (all) matches.push_back(&entry);
-    }
+  std::vector<RepoEntry> match_selector(const QueryExpr& expr) {
+    std::vector<RepoEntry> matches = expr.kind() == QueryExpr::Kind::Series
+                                         ? repo_.series(expr.name())
+                                         : repo_.select(expr.pairs());
+    std::erase_if(matches, is_cache_entry);
     if (matches.empty()) {
       throw OperationError("selector " + expr.str() +
                            " matches no experiment in '" +
@@ -176,10 +165,17 @@ class Planner {
     node.operand.id = entry.id;
     node.operand.path = repo_.directory() / entry.file;
     node.operand.format = entry.format;
-    node.operand.digest = digest_file(node.operand.path);
-    std::error_code ec;
-    node.operand.bytes = std::filesystem::file_size(node.operand.path, ec);
-    if (ec) node.operand.bytes = 0;
+    if (!entry.digest) {
+      // Only an entry whose file was unreadable when its digest-less
+      // (older) index record was read lacks a digest.
+      throw IoError("cannot read '" + node.operand.path.string() +
+                    "' for digest");
+    }
+    node.operand.digest = *entry.digest;
+    node.operand.bytes = entry.bytes;
+    const auto kind = entry.attributes.find("cube::kind");
+    node.operand.derived =
+        kind != entry.attributes.end() && kind->second == "derived";
     node.canonical =
         "id:" + entry.id + "@" + digest_hex(node.operand.digest);
     if (!entry.sev.empty() &&
@@ -208,7 +204,6 @@ class Planner {
   }
 
   const ExperimentRepository& repo_;
-  const std::vector<RepoEntry> entries_;
   const OperatorOptions& options_;
   QueryPlan plan_;
   std::map<std::string, std::size_t> cse_;   // canonical -> node

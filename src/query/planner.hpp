@@ -3,8 +3,9 @@
 //
 // Planning proceeds in three steps:
 //  1. SELECTOR RESOLUTION — id()/attr()/series() leaves (and bare refs,
-//     which act like id()) are matched against the repository index and
-//     replaced by concrete operand lists.  attr() and series() skip
+//     which act like id()) are looked up in the repository's index maps
+//     (find/select/series — O(matches), never a scan of the repository)
+//     and replaced by concrete operand lists.  attr() and series() skip
 //     cache entries (entries carrying "cube::cache-key"), so derived
 //     cubes the engine persisted never feed back into aggregates;
 //     id()/refs address any entry exactly, cached cubes included.
@@ -14,10 +15,16 @@
 //     so mean(attr(run=before)) appearing twice is planned, loaded, and
 //     evaluated once.
 //  3. CACHE KEYS — each node gets a content-addressed digest: a load
-//     node's key is the FNV-1a digest of its file's bytes; an apply
-//     node's key hashes (format version, operator, operator options,
-//     child keys).  Re-storing different data under the same id changes
-//     the file digest and therefore every downstream key.
+//     node's key is the FNV-1a digest of its file's bytes, as recorded in
+//     the index when the file was stored; an apply node's key hashes
+//     (format version, operator, operator options, child keys).
+//     Re-storing different data under the same id changes the file
+//     digest and therefore every downstream key.
+//
+// Planning reads no file: every input comes from the index records.  A
+// file edited behind the repository's back therefore keeps its recorded
+// digest; cube_lint (repo.digest-mismatch) and QueryOptions::
+// validate_loads catch that.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +39,9 @@
 namespace cube::query {
 
 /// Attribute under which the engine records a derived cube's cache key
-/// when persisting it into the repository.
-inline constexpr const char* kCacheKeyAttribute = "cube::cache-key";
+/// when persisting it into the repository (defined next to the index,
+/// which serves its lookups).
+using cube::kCacheKeyAttribute;
 /// Attribute recording the canonical sub-expression a cached cube answers.
 inline constexpr const char* kCacheExprAttribute = "cube::cache-expr";
 /// Attribute listing the content digests (space-separated 016x hex) of the
@@ -49,8 +57,11 @@ struct ResolvedOperand {
   std::string id;               ///< repository id
   std::filesystem::path path;   ///< absolute file path
   RepoFormat format = RepoFormat::Xml;
-  std::uint64_t digest = 0;     ///< FNV-1a of the file bytes
-  std::uintmax_t bytes = 0;     ///< file size
+  std::uint64_t digest = 0;     ///< FNV-1a of the file bytes (recorded)
+  std::uintmax_t bytes = 0;     ///< file size (recorded)
+  /// True if the entry is marked derived ("cube::kind" = "derived") —
+  /// the static analyzer's original/derived classification.
+  bool derived = false;
   /// Structural digest of the referenced metadata blob (0 for a legacy
   /// inline-metadata entry).  Mixed into the load key: the key must change
   /// if an entry is repointed at different metadata even though the

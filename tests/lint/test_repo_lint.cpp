@@ -162,6 +162,30 @@ TEST_F(RepoLintTest, RewrittenOperandMakesCacheEntryStale) {
   EXPECT_TRUE(sink.has_rule("repo.stale-cache"));
 }
 
+TEST_F(RepoLintTest, HandEditedFileBreaksItsRecordedDigest) {
+  const std::string id = store_salted("edited", 0.5);
+  const std::string kept = store_salted("kept", 1.5);
+  // A valid experiment, written over the stored file behind the
+  // repository's back: it still loads, but its index record now carries
+  // the digest of the bytes it replaced.
+  Experiment changed = make_small(StorageKind::Dense, "edited");
+  changed.severity().set(0, 0, 0, 42.0);
+  cube::write_cube_xml_file(changed, entry_file(id).string());
+
+  DiagnosticSink sink;
+  cube::lint::lint_repository(dir_, sink);
+  std::size_t mismatches = 0;
+  for (const auto& d : sink.diagnostics()) {
+    if (d.rule != "repo.digest-mismatch") continue;
+    ++mismatches;
+    EXPECT_EQ(d.level, cube::lint::Level::Error);
+    EXPECT_NE(d.location.find("entry \"" + id + "\""), std::string::npos)
+        << d.location;
+  }
+  EXPECT_EQ(mismatches, 1u);  // `kept` still matches its record
+  EXPECT_EQ(sink.exit_code(), 2);
+}
+
 TEST_F(RepoLintTest, UnresolvableOperandDigestFlagsServerCacheEntry) {
   // The daemon's shared result cache is keyed purely by content digests
   // (cube::cache-operands).  Corrupt an operand file in place: its bytes

@@ -4,9 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "algebra/composite.hpp"
 #include "common/error.hpp"
+#include "io/cube_format.hpp"
 #include "testutil.hpp"
 
 namespace cube::query {
@@ -232,6 +234,39 @@ TEST_F(QueryEngineTest, ExecutionErrorsPropagateFromWorkers) {
     options.threads = threads;
     QueryEngine engine(*repo_, options);
     EXPECT_THROW((void)engine.run(kQuery), Error) << threads;
+  }
+}
+
+TEST_F(QueryEngineTest, ValidateLoadsChecksTheRecordedDigest) {
+  populate_before_after();
+  // Overwrite b1 with a valid experiment behind the repository's back.
+  // Planning keys it by the digest recorded at store time, so only a
+  // validating load notices the edit.
+  const std::optional<RepoEntry> victim = repo_->find("b1");
+  ASSERT_TRUE(victim.has_value());
+  Experiment edited = make_small(StorageKind::Dense, "b1");
+  edited.severity().set(0, 0, 0, 4242.0);
+  {
+    std::ofstream out(dir_ / victim->file, std::ios::trunc);
+    out << cube::to_cube_xml_ref(edited);
+  }
+  QueryOptions options;
+  options.threads = 2;
+  options.use_cache = false;
+  options.store_derived = false;
+  {
+    QueryEngine engine(*repo_, options);
+    EXPECT_NO_THROW((void)engine.run(kQuery));
+  }
+  options.validate_loads = true;
+  QueryEngine engine(*repo_, options);
+  try {
+    (void)engine.run(kQuery);
+    ADD_FAILURE() << "validate_loads accepted an edited operand";
+  } catch (const ValidationError& e) {
+    EXPECT_NE(std::string(e.what()).find("repo.digest-mismatch"),
+              std::string::npos)
+        << e.what();
   }
 }
 

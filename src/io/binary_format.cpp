@@ -166,15 +166,6 @@ void write_cube_binary_file(const Experiment& experiment,
   if (!out) throw IoError("write to '" + path + "' failed");
 }
 
-void write_cube_binary_ref_file(const Experiment& experiment,
-                                const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  write_cube_binary_ref(experiment, out);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
-}
-
 std::string to_cube_binary(const Experiment& experiment) {
   std::ostringstream os(std::ios::binary);
   write_cube_binary(experiment, os);

@@ -33,8 +33,6 @@ void write_cube_binary_file(const Experiment& experiment,
 /// Serializes by reference: attributes + metadata digest + severity.  The
 /// referenced blob must be stored separately (the repository does this).
 void write_cube_binary_ref(const Experiment& experiment, std::ostream& out);
-void write_cube_binary_ref_file(const Experiment& experiment,
-                                const std::string& path);
 [[nodiscard]] std::string to_cube_binary_ref(const Experiment& experiment);
 
 /// Deserializes either variant; throws cube::Error on a malformed or

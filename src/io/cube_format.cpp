@@ -169,15 +169,6 @@ void write_cube_xml_ref(const Experiment& experiment, std::ostream& out) {
   });
 }
 
-void write_cube_xml_ref_file(const Experiment& experiment,
-                             const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  write_cube_xml_ref(experiment, out);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
-}
-
 std::string to_cube_xml_ref(const Experiment& experiment) {
   std::ostringstream os;
   write_cube_xml_ref(experiment, os);
@@ -205,16 +196,6 @@ void write_cube_xml_sev_ref(const Experiment& experiment,
     w.close_element();
     w.finish();
   });
-}
-
-void write_cube_xml_sev_ref_file(const Experiment& experiment,
-                                 std::uint64_t sev_digest,
-                                 const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  write_cube_xml_sev_ref(experiment, sev_digest, out);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
 }
 
 std::string to_cube_xml_sev_ref(const Experiment& experiment,

@@ -55,8 +55,6 @@ void write_cube_xml_file(const Experiment& experiment,
 /// severity.  The referenced metadata blob must be stored separately (the
 /// repository does this).
 void write_cube_xml_ref(const Experiment& experiment, std::ostream& out);
-void write_cube_xml_ref_file(const Experiment& experiment,
-                             const std::string& path);
 [[nodiscard]] std::string to_cube_xml_ref(const Experiment& experiment);
 
 /// Writes the columnar envelope (version 1.2): attributes + <metaref> +
@@ -65,9 +63,6 @@ void write_cube_xml_ref_file(const Experiment& experiment,
 /// repository does this for RepoFormat::Columnar entries.
 void write_cube_xml_sev_ref(const Experiment& experiment,
                             std::uint64_t sev_digest, std::ostream& out);
-void write_cube_xml_sev_ref_file(const Experiment& experiment,
-                                 std::uint64_t sev_digest,
-                                 const std::string& path);
 [[nodiscard]] std::string to_cube_xml_sev_ref(const Experiment& experiment,
                                               std::uint64_t sev_digest);
 

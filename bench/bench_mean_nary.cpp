@@ -1,5 +1,5 @@
 // Ablation A6/A14: n-ary series reduction in a single batched sweep
-// versus per-operand kernels versus cascading binary operations.
+// versus cascading binary operations.
 //
 // Because the operators are closed, a user could emulate an n-ary summary
 // by cascading binary applications — but each application re-runs metadata
@@ -7,14 +7,15 @@
 // costs 63 traversals of the cell space.  The batched path (docs/KERNELS.md)
 // integrates once and folds all operands per SoA tile in ONE sweep.
 //
-// The benchmarks sweep the batch width N in {2..64} over the four operand
-// classes (dense/sparse x identity/remap), with per-operand and
-// scalar-SIMD ablations.  `--verify` runs a self-checking smoke for CI:
+// The benchmarks sweep the batch width N in {2..64} over the operand
+// classes (dense/sparse x identity/remap, plus a 1%-fill sparse-identity
+// series), with a scalar-SIMD ablation, and time max over the
+// sparse-identity series.  `--verify` runs a self-checking smoke for CI:
 // it asserts the batched path actually fired on a 64-run dense series
-// (one application, width 64, single chunked sweep), that all four paths
-// agree bit-for-bit, and that batching beats the pre-batch configuration
-// (63 binary steps over the per-operand scalar kernels) end-to-end —
-// ~4x measured, gated at 3x for noise headroom.
+// (one application, width 64, single chunked sweep), that the SIMD and
+// scalar kernels agree bit-for-bit with the per-cell oracle, and that
+// one n-ary sweep beats a cascade of 63 binary steps over the scalar
+// kernels end-to-end — gated at 3x.
 #include <benchmark/benchmark.h>
 
 #include <bit>
@@ -30,6 +31,7 @@
 #include "algebra/simd.hpp"
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/reference_ops.hpp"
 
 namespace {
 
@@ -41,6 +43,7 @@ enum class Variant : std::int64_t {
   DenseRemap = 1,
   SparseIdentity = 2,
   SparseRemap = 3,
+  SparseIdentity1 = 4,  ///< sparse-identity at 1% fill
 };
 
 const char* variant_name(Variant v) {
@@ -49,6 +52,7 @@ const char* variant_name(Variant v) {
     case Variant::DenseRemap: return "dense-remap";
     case Variant::SparseIdentity: return "sparse-identity";
     case Variant::SparseRemap: return "sparse-remap";
+    case Variant::SparseIdentity1: return "sparse-identity-1%";
   }
   return "?";
 }
@@ -77,6 +81,10 @@ std::vector<cube::Experiment> operands(std::int64_t n, Variant variant,
         s.fill = 0.05;
         s.cnodes = cnodes - 4 * (static_cast<std::size_t>(i) % 8);
         break;
+      case Variant::SparseIdentity1:
+        s.storage = cube::StorageKind::Sparse;
+        s.fill = 0.01;
+        break;
     }
     out.push_back(make_experiment(s));
   }
@@ -90,12 +98,11 @@ std::vector<const cube::Experiment*> pointers(
   return ptrs;
 }
 
-/// mean() under the given kernel configuration.
+/// mean() under the given simd policy.
 cube::Experiment run_mean(const std::vector<const cube::Experiment*>& ptrs,
-                          bool batch, cube::simd::Policy policy,
+                          cube::simd::Policy policy,
                           cube::obs::MetricsRegistry* metrics = nullptr) {
   cube::OperatorOptions options;
-  options.use_batch_kernels = batch;
   options.simd_policy = policy;
   options.metrics = metrics;
   return cube::mean(std::span<const cube::Experiment* const>(ptrs), options);
@@ -105,8 +112,7 @@ void BM_MeanSinglePass(benchmark::State& state) {
   const auto ops = operands(state.range(0), Variant(state.range(1)));
   const auto ptrs = pointers(ops);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_mean(ptrs, true, cube::simd::Policy::Auto));
+    benchmark::DoNotOptimize(run_mean(ptrs, cube::simd::Policy::Auto));
   }
   state.SetLabel(variant_name(Variant(state.range(1))));
 }
@@ -116,17 +122,17 @@ void BM_MeanBatchScalar(benchmark::State& state) {
   const auto ptrs = pointers(ops);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        run_mean(ptrs, true, cube::simd::Policy::ForceScalar));
+        run_mean(ptrs, cube::simd::Policy::ForceScalar));
   }
   state.SetLabel(variant_name(Variant(state.range(1))));
 }
 
-void BM_MeanPerOperand(benchmark::State& state) {
+void BM_MaxSinglePass(benchmark::State& state) {
   const auto ops = operands(state.range(0), Variant(state.range(1)));
   const auto ptrs = pointers(ops);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        run_mean(ptrs, false, cube::simd::Policy::Auto));
+        cube::maximum(std::span<const cube::Experiment* const>(ptrs)));
   }
   state.SetLabel(variant_name(Variant(state.range(1))));
 }
@@ -148,7 +154,7 @@ void BM_MeanCascadedBinary(benchmark::State& state) {
 }
 
 void sweep(benchmark::internal::Benchmark* b) {
-  for (const std::int64_t variant : {0, 1, 2, 3}) {
+  for (const std::int64_t variant : {0, 1, 2, 3, 4}) {
     for (const std::int64_t n : {2, 4, 8, 16, 32, 64}) {
       b->Args({n, variant});
     }
@@ -157,7 +163,11 @@ void sweep(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_MeanSinglePass)->Apply(sweep);
 BENCHMARK(BM_MeanBatchScalar)->Apply(sweep);
-BENCHMARK(BM_MeanPerOperand)->Apply(sweep);
+BENCHMARK(BM_MaxSinglePass)
+    ->Args({16, 2})
+    ->Args({64, 2})
+    ->Args({16, 4})
+    ->Args({64, 4});
 BENCHMARK(BM_MeanCascadedBinary)
     ->Args({8, 0})
     ->Args({16, 0})
@@ -194,17 +204,17 @@ double seconds_of(const std::function<void()>& fn) {
 }
 
 /// CI smoke: the batched path must fire on a 64-run dense series, agree
-/// with every other path bit-for-bit, and beat the pre-batch scalar
-/// binary cascade end-to-end (~4x measured, 3x floor).
+/// with the oracle bit-for-bit in SIMD and scalar form, and beat a scalar
+/// binary cascade end-to-end (3x floor).
 int verify() {
   constexpr std::int64_t kRuns = 64;
   // Mid-size profiles (8 metrics x 512 call paths, 1 MB of severity per
   // run): the batched path streams all 64 operands once through
-  // last-level cache, while the old cascade runs 63 binary steps whose
+  // last-level cache, while the cascade runs 63 binary steps whose
   // scalar read-modify-write of a full intermediate experiment per step
-  // thrashes L2.  Measured ~4x here (EXPERIMENTS.md A14); very large
-  // series flatten to ~3x only because this machine's 260 MB L3 keeps
-  // the cascade's intermediates cache-resident.
+  // thrashes L2.  Measured ~5x here (EXPERIMENTS.md A14); very large
+  // series flatten toward ~3x on machines whose large L3 keeps the
+  // cascade's intermediates cache-resident.
   constexpr std::size_t kVerifyCnodes = 512;
   std::printf("simd backend: %s\n",
               cube::simd::backend_name(cube::simd::active_backend()));
@@ -213,7 +223,7 @@ int verify() {
 
   cube::obs::MetricsRegistry stats;
   cube::Experiment batched =
-      run_mean(ptrs, true, cube::simd::Policy::Auto, &stats);
+      run_mean(ptrs, cube::simd::Policy::Auto, &stats);
   const auto count = [&stats](const char* name) {
     return stats.counter(name).value();
   };
@@ -235,43 +245,34 @@ int verify() {
     return 1;
   }
 
-  cube::OperatorOptions reference;
-  reference.use_bulk_kernels = false;
   const cube::Experiment want =
-      cube::mean(std::span<const cube::Experiment* const>(ptrs), reference);
+      cube::oracle::mean(std::span<const cube::Experiment* const>(ptrs));
   if (!bit_identical(batched, want) ||
-      !bit_identical(run_mean(ptrs, true, cube::simd::Policy::ForceScalar),
-                     want) ||
-      !bit_identical(run_mean(ptrs, false, cube::simd::Policy::Auto), want)) {
-    std::printf("FAIL: kernel paths disagree with the reference\n");
+      !bit_identical(run_mean(ptrs, cube::simd::Policy::ForceScalar),
+                     want)) {
+    std::printf("FAIL: kernels disagree with the oracle\n");
     return 1;
   }
-  std::printf("bit-identity: reference == per-operand == batch-scalar == "
-              "batch-simd\n");
+  std::printf("bit-identity: oracle == batch-scalar == batch-simd\n");
 
-  // End-to-end, new versus old: one batched SIMD n-ary mean against the
-  // path the same series took before the batched layout existed — 63
-  // binary applications over the per-operand scalar kernels, each one
-  // re-integrating metadata and allocating a full intermediate
-  // experiment.  (A binary mean with default options would itself take
-  // the new width-2 batched path now, so the cascade pins the pre-batch
-  // configuration explicitly.)  Warmed by the runs above; take the best
-  // of 3 to damp scheduler noise.
-  cube::OperatorOptions pre_batch;
-  pre_batch.use_batch_kernels = false;
-  pre_batch.simd_policy = cube::simd::Policy::ForceScalar;
+  // End-to-end: one batched SIMD n-ary mean against emulating it with
+  // the closed binary operator — 63 binary applications over the scalar
+  // kernels, each one re-integrating metadata and allocating a full
+  // intermediate experiment.  Warmed by the runs above; take the best of
+  // 3 to damp scheduler noise.
+  cube::OperatorOptions scalar;
+  scalar.simd_policy = cube::simd::Policy::ForceScalar;
   double batched_s = 1e9, cascade_s = 1e9;
   for (int rep = 0; rep < 3; ++rep) {
     batched_s = std::min(batched_s, seconds_of([&] {
-      benchmark::DoNotOptimize(
-          run_mean(ptrs, true, cube::simd::Policy::Auto));
+      benchmark::DoNotOptimize(run_mean(ptrs, cube::simd::Policy::Auto));
     }));
     cascade_s = std::min(cascade_s, seconds_of([&] {
       cube::Experiment acc = ops[0].clone();
       for (std::size_t i = 1; i < ops.size(); ++i) {
         const cube::Experiment* pair[] = {&acc, &ops[i]};
         acc = cube::mean(std::span<const cube::Experiment* const>(pair, 2),
-                         pre_batch);
+                         scalar);
       }
       benchmark::DoNotOptimize(acc);
     }));
@@ -279,7 +280,7 @@ int verify() {
   const double speedup = cascade_s / batched_s;
   std::printf("batched %.3f ms vs scalar binary cascade %.3f ms: %.1fx\n",
               batched_s * 1e3, cascade_s * 1e3, speedup);
-  // Typically ~4x on an idle core (EXPERIMENTS.md A14); assert a 3x
+  // Typically ~5x on an idle core (EXPERIMENTS.md A14); assert a 3x
   // floor so a noisy neighbour on a shared vCPU cannot flake CI.
   if (speedup < 3.0) {
     std::printf("FAIL: expected >= 3x over the scalar binary cascade\n");

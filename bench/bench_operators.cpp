@@ -8,6 +8,7 @@
 
 #include "algebra/operators.hpp"
 #include "bench_util.hpp"
+#include "oracle/reference_ops.hpp"
 
 namespace {
 
@@ -81,12 +82,13 @@ void BM_DifferenceSparseResult(benchmark::State& state) {
 }
 BENCHMARK(BM_DifferenceSparseResult)->Arg(256)->Arg(1024);
 
-// --- Ablation A10: bulk kernels vs the per-cell reference path ------------
+// --- Ablation A10: severity kernels vs the per-cell oracle ----------------
 
 /// Sparse operands + sparse result at a fill rate given in permille
-/// (1000 = fully dense occupancy down to 1 = 0.1 %).  The bulk sparse
-/// kernels cost O(nnz); the per-cell reference walks every cell through
-/// the virtual get/set interface regardless of occupancy.  The plane is
+/// (1000 = fully dense occupancy down to 1 = 0.1 %).  The kernels scatter
+/// sparse operands in O(nnz); the per-cell oracle (tests/oracle) walks
+/// every cell through the virtual get/set interface regardless of
+/// occupancy.  The plane is
 /// sized like a large parallel machine (1M cells) — the regime sparse
 /// storage exists for.
 std::pair<cube::Experiment, cube::Experiment> sparse_pair(
@@ -117,9 +119,8 @@ void BM_DifferenceSparseFillReference(benchmark::State& state) {
   const auto [a, b] = sparse_pair(state.range(0));
   cube::OperatorOptions opts;
   opts.storage = cube::StorageKind::Sparse;
-  opts.use_bulk_kernels = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cube::difference(a, b, opts));
+    benchmark::DoNotOptimize(cube::oracle::difference(a, b, opts));
   }
 }
 BENCHMARK(BM_DifferenceSparseFillReference)
@@ -129,17 +130,17 @@ BENCHMARK(BM_DifferenceSparseFillReference)
     ->Arg(1);
 
 /// Identical-metadata dense operands: integration yields identity
-/// mappings, so the bulk path runs the flat vectorizable kernel over
-/// contiguous rows instead of the per-cell scatter.
+/// mappings, so the kernels borrow contiguous rows into the vectorized
+/// fold instead of the per-cell scatter (bulk = 0 runs the oracle).
 void BM_DifferenceIdentityDense(benchmark::State& state) {
   Shape s = shape_for(state.range(0));
   const cube::Experiment a = make_experiment(s);
   s.seed = 2;
   const cube::Experiment b = make_experiment(s);
-  cube::OperatorOptions opts;
-  opts.use_bulk_kernels = state.range(1) != 0;
+  const bool bulk = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cube::difference(a, b, opts));
+    benchmark::DoNotOptimize(bulk ? cube::difference(a, b)
+                                  : cube::oracle::difference(a, b));
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) * state.range(0) * 8 * 16);
@@ -149,8 +150,8 @@ BENCHMARK(BM_DifferenceIdentityDense)
     ->Args({1024, 1})
     ->Args({1024, 0});
 
-// mode: 0 = per-cell reference, 1 = per-operand bulk kernels,
-//       2 = batched SoA scalar, 3 = batched SoA + SIMD (docs/KERNELS.md).
+// mode: 0 = per-cell oracle, 2 = batched SoA scalar,
+//       3 = batched SoA + SIMD (docs/KERNELS.md).
 void BM_MeanIdentityDense(benchmark::State& state) {
   Shape s = shape_for(state.range(0));
   std::vector<cube::Experiment> operands;
@@ -160,15 +161,14 @@ void BM_MeanIdentityDense(benchmark::State& state) {
   }
   std::vector<const cube::Experiment*> ptrs;
   for (const auto& e : operands) ptrs.push_back(&e);
+  const std::span<const cube::Experiment* const> span(ptrs);
   cube::OperatorOptions opts;
   const std::int64_t mode = state.range(1);
-  opts.use_bulk_kernels = mode >= 1;
-  opts.use_batch_kernels = mode >= 2;
   opts.simd_policy = mode >= 3 ? cube::simd::Policy::Auto
                                : cube::simd::Policy::ForceScalar;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cube::mean(std::span<const cube::Experiment* const>(ptrs), opts));
+    benchmark::DoNotOptimize(mode == 0 ? cube::oracle::mean(span)
+                                       : cube::mean(span, opts));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0) * 8 * 16 * 4);
@@ -177,7 +177,6 @@ BENCHMARK(BM_MeanIdentityDense)
     ->ArgNames({"cnodes", "mode"})
     ->Args({1024, 3})
     ->Args({1024, 2})
-    ->Args({1024, 1})
     ->Args({1024, 0});
 
 // --- Ablation A11: shared-metadata fast path vs structural merge ----------

@@ -1,8 +1,14 @@
 #include "algebra/batch.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace cube::batch {
@@ -21,35 +27,78 @@ OutShape shape_of(const Metadata& md) {
   return os;
 }
 
-KernelCounters KernelCounters::resolve(obs::MetricsRegistry* registry) {
-  KernelCounters kc;
-  if (registry == nullptr) return kc;
-  kc.identity_dense_cells =
-      &registry->counter(kernel_counters::kIdentityDenseCells);
-  kc.remap_dense_cells = &registry->counter(kernel_counters::kRemapDenseCells);
-  kc.identity_sparse_nnz =
-      &registry->counter(kernel_counters::kIdentitySparseNnz);
-  kc.remap_sparse_nnz = &registry->counter(kernel_counters::kRemapSparseNnz);
-  kc.chunks = &registry->counter(kernel_counters::kChunks);
-  kc.applications = &registry->counter(kernel_counters::kApplications);
-  kc.batch_tiles = &registry->counter(kernel_counters::kBatchTiles);
-  kc.batch_width = &registry->counter(kernel_counters::kBatchWidth);
-  return kc;
+namespace {
+
+bool injective(const std::vector<std::size_t>& map, std::size_t out_size) {
+  std::vector<char> seen(out_size, 0);
+  for (const std::size_t v : map) {
+    if (v == kNoIndex) continue;
+    if (v >= out_size || seen[v] != 0) return false;
+    seen[v] = 1;
+  }
+  return true;
 }
 
-void LocalKernelStats::flush(const KernelCounters& kc) const {
-  if (kc.identity_dense_cells == nullptr) return;
-  if (identity_dense_cells != 0) {
-    kc.identity_dense_cells->add(identity_dense_cells);
-  }
-  if (remap_dense_cells != 0) kc.remap_dense_cells->add(remap_dense_cells);
-  if (identity_sparse_nnz != 0) {
-    kc.identity_sparse_nnz->add(identity_sparse_nnz);
-  }
-  if (remap_sparse_nnz != 0) kc.remap_sparse_nnz->add(remap_sparse_nnz);
-  if (batch_tiles != 0) kc.batch_tiles->add(batch_tiles);
+}  // namespace
+
+bool coalesces(const OperandMapping& m, const OutShape& os) {
+  return (!m.metric_identity && !injective(m.metric_map, os.metrics)) ||
+         (!m.cnode_identity && !injective(m.cnode_map, os.cnodes)) ||
+         (!m.thread_identity && !injective(m.thread_map, os.threads));
 }
 
+namespace {
+
+using SparseSnapshot = std::vector<std::pair<std::uint64_t, Severity>>;
+
+/// The kernel counters of OperatorOptions::metrics, resolved ONCE per
+/// operator application (registration takes the registry mutex; updates
+/// are relaxed atomics).  All-null when no registry was supplied.
+struct KernelCounters {
+  obs::Counter* identity_dense_cells = nullptr;
+  obs::Counter* remap_dense_cells = nullptr;
+  obs::Counter* identity_sparse_nnz = nullptr;
+  obs::Counter* remap_sparse_nnz = nullptr;
+  obs::Counter* chunks = nullptr;
+  obs::Counter* batch_tiles = nullptr;
+
+  explicit KernelCounters(obs::MetricsRegistry* registry) {
+    if (registry == nullptr) return;
+    identity_dense_cells =
+        &registry->counter(kernel_counters::kIdentityDenseCells);
+    remap_dense_cells = &registry->counter(kernel_counters::kRemapDenseCells);
+    identity_sparse_nnz =
+        &registry->counter(kernel_counters::kIdentitySparseNnz);
+    remap_sparse_nnz = &registry->counter(kernel_counters::kRemapSparseNnz);
+    chunks = &registry->counter(kernel_counters::kChunks);
+    batch_tiles = &registry->counter(kernel_counters::kBatchTiles);
+  }
+};
+
+/// Per-chunk kernel counters, flushed once into the shared registry.
+struct LocalKernelStats {
+  std::uint64_t identity_dense_cells = 0;
+  std::uint64_t remap_dense_cells = 0;
+  std::uint64_t identity_sparse_nnz = 0;
+  std::uint64_t remap_sparse_nnz = 0;
+  std::uint64_t batch_tiles = 0;
+
+  void flush(const KernelCounters& kc) const {
+    if (kc.identity_dense_cells == nullptr) return;
+    const std::pair<obs::Counter*, std::uint64_t> counts[] = {
+        {kc.identity_dense_cells, identity_dense_cells},
+        {kc.remap_dense_cells, remap_dense_cells},
+        {kc.identity_sparse_nnz, identity_sparse_nnz},
+        {kc.remap_sparse_nnz, remap_sparse_nnz},
+        {kc.batch_tiles, batch_tiles}};
+    for (const auto& [counter, n] : counts) {
+      if (n != 0) counter->add(n);
+    }
+  }
+};
+
+/// Runs body(chunk, cell_lo, cell_hi) over the fixed partition of
+/// [0, cells) into num_cell_chunks(cells) contiguous ranges.
 void run_cell_chunked(
     const OperatorOptions& options, const KernelCounters& kc, std::size_t cells,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
@@ -70,36 +119,19 @@ void run_cell_chunked(
   }
 }
 
-void merge_staged(Experiment& out, const OutShape& os,
-                  std::vector<SparseSnapshot>& staged) {
-  SeverityStore& sev = out.severity();
-  if (sev.kind() == StorageKind::Sparse) {
-    auto& sparse = static_cast<SparseSeverity&>(sev);
-    for (const SparseSnapshot& chunk : staged) sparse.set_cells(chunk);
-    return;
-  }
-  for (const SparseSnapshot& chunk : staged) {
-    for (const auto& [cell, v] : chunk) {
-      const std::size_t rest = cell % os.plane;
-      sev.set(cell / os.plane, rest / os.threads, rest % os.threads, v);
-    }
-  }
+/// Writes the non-zero entries of per-chunk staging buffers into a sparse
+/// result, in chunk order.  Chunks cover disjoint cell ranges, so the
+/// stored values are independent of execution order by construction.
+void merge_staged(Experiment& out, const std::vector<SparseSnapshot>& staged) {
+  auto& sparse = static_cast<SparseSeverity&>(out.severity());
+  for (const SparseSnapshot& chunk : staged) sparse.set_cells(chunk);
 }
 
-namespace {
-
-bool injective(const std::vector<std::size_t>& map, std::size_t out_size) {
-  std::vector<char> seen(out_size, 0);
-  for (const std::size_t v : map) {
-    if (v == kNoIndex) continue;
-    if (v >= out_size || seen[v] != 0) return false;
-    seen[v] = 1;
-  }
-  return true;
-}
-
-}  // namespace
-
+/// Releases the file-backed pages of every identity-mapped operand for
+/// the consumed result cell range [lo, hi) — the streaming hook behind
+/// OperatorOptions::release_operand_pages.  Identity mappings make source
+/// and result cell indices coincide, so the range translates directly;
+/// remapped or owned operands are skipped.
 void release_consumed(std::span<const Experiment* const> sources,
                       std::span<const OperandMapping> mappings,
                       std::size_t lo, std::size_t hi) {
@@ -110,23 +142,7 @@ void release_consumed(std::span<const Experiment* const> sources,
   }
 }
 
-bool batchable(std::span<const OperandMapping> mappings, const OutShape& os) {
-  for (const OperandMapping& m : mappings) {
-    if (m.identity()) continue;
-    if (!m.metric_identity && !injective(m.metric_map, os.metrics)) {
-      return false;
-    }
-    if (!m.cnode_identity && !injective(m.cnode_map, os.cnodes)) return false;
-    if (!m.thread_identity && !injective(m.thread_map, os.threads)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-/// One operand prepared for SoA tile staging.  Exactly one of `borrow`
+/// One operand prepared for the sweep.  Exactly one of `borrow`
 /// (identity x dense: tiles alias the store's cells directly), `rows`
 /// (remapped dense rows sorted by result base), or `snapshot` (sparse
 /// non-zeros with RESULT-space keys, ascending) is populated.
@@ -144,18 +160,22 @@ struct BatchOperand {
   SparseSnapshot snapshot;
   bool sparse = false;
   bool identity = false;  ///< counter classification for sparse operands
+  /// Applied as an ordered scatter onto the accumulator instead of being
+  /// gathered into a tile row (linear combinations only).
+  bool scatter = false;
 };
 
-/// Prepares every operand once per application.  Near-full sparse stores
-/// are densified (same threshold as the per-operand kernels: a snapshot
-/// costs 16 bytes/entry vs 8 bytes/cell for a mirror); sparse snapshots
-/// are remapped into result space HERE, once, instead of per chunk.
-/// Injective mappings guarantee distinct result keys, so the re-sort
-/// after remapping keeps one entry per cell.
+/// Prepares every operand once per application.  Sparse stores at least
+/// half full are densified — a snapshot costs 16 bytes/entry vs 8
+/// bytes/cell for a mirror, and the sort would dominate the operator —
+/// and take the dense paths, whose ascending cell order keeps results
+/// bit-identical.  Sparse snapshots are remapped into result space HERE,
+/// once, instead of per chunk; the stable re-sort keeps the contributions
+/// of coalescing source cells in ascending source order.
 std::vector<BatchOperand> prepare_batch(
     std::span<const Experiment* const> sources,
     std::span<const OperandMapping> mappings, const OutShape& os,
-    std::vector<std::vector<Severity>>& mirror_storage) {
+    bool linear, std::vector<std::vector<Severity>>& mirror_storage) {
   mirror_storage.resize(sources.size());
   std::vector<BatchOperand> prepared(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -180,6 +200,10 @@ std::vector<BatchOperand> prepare_batch(
         op.borrow = dense;
         continue;
       }
+      // Gathering a coalescing operand would sum its source cells before
+      // the factor is applied; a linear combination must round once per
+      // contribution instead.
+      op.scatter = linear && coalesces(mapping, os);
       const std::size_t sm = sev.num_metrics();
       const std::size_t sc = sev.num_cnodes();
       op.src_threads = sev.num_threads();
@@ -204,6 +228,7 @@ std::vector<BatchOperand> prepare_batch(
 
     const auto& sp = static_cast<const SparseSeverity&>(sev);
     op.sparse = true;
+    op.scatter = linear;
     op.identity = mapping.identity();
     if (op.identity) {
       op.snapshot = sp.sorted_cells();
@@ -222,35 +247,34 @@ std::vector<BatchOperand> prepare_batch(
               mapping.thread_map[rest % st],
           v);
     }
-    std::sort(op.snapshot.begin(), op.snapshot.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::stable_sort(
+        op.snapshot.begin(), op.snapshot.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
   }
   return prepared;
 }
 
-/// Gathers one operand's tile row [lo, hi) into `row` (zero-extended),
-/// advancing the operand's chunk cursor.  Cursors are monotone: rows are
-/// sorted by out_base and snapshots by key, and tiles ascend, so every
-/// non-zero is located once per application, not once per tile.
-void gather_tile(const BatchOperand& op, const OutShape& os, Severity* row,
-                 std::size_t lo, std::size_t hi, std::size_t& cursor,
-                 LocalKernelStats& ks) {
-  std::fill(row, row + (hi - lo), 0.0);
+/// Visits one non-borrowed operand's non-zero contributions to the tile
+/// [lo, hi) as emit(cell - lo, v), in ascending result cell and, per
+/// cell, ascending source order; advances the operand's chunk cursor.
+/// Cursors are monotone: rows are sorted by out_base and snapshots by
+/// key, and tiles ascend, so every non-zero is located once per
+/// application, not once per tile.
+template <typename Emit>
+void visit_tile(const BatchOperand& op, const OutShape& os, std::size_t lo,
+                std::size_t hi, std::size_t& cursor, LocalKernelStats& ks,
+                const Emit& emit) {
   if (op.sparse) {
     std::uint64_t applied = 0;
     while (cursor < op.snapshot.size() && op.snapshot[cursor].first < hi) {
       const auto& [key, v] = op.snapshot[cursor];
       if (key >= lo) {
-        row[key - lo] += v;
+        emit(key - lo, v);
         ++applied;
       }
       ++cursor;
     }
-    if (op.identity) {
-      ks.identity_sparse_nnz += applied;
-    } else {
-      ks.remap_sparse_nnz += applied;
-    }
+    (op.identity ? ks.identity_sparse_nnz : ks.remap_sparse_nnz) += applied;
     return;
   }
   // Dense remapped rows.  A row spans os.threads result cells and may
@@ -268,35 +292,43 @@ void gather_tile(const BatchOperand& op, const OutShape& os, Severity* row,
     if (lo <= rw.out_base && rw.out_base + os.threads <= hi) {
       for (ThreadIndex t = 0; t < op.src_threads; ++t) {
         const Severity v = rw.src[t];
-        if (v != 0.0) row[rw.out_base + tmap[t] - lo] += v;
+        if (v != 0.0) emit(rw.out_base + tmap[t] - lo, v);
       }
     } else {
       for (ThreadIndex t = 0; t < op.src_threads; ++t) {
         const std::size_t cell = rw.out_base + tmap[t];
         if (cell < lo || cell >= hi) continue;
         const Severity v = rw.src[t];
-        if (v != 0.0) row[cell - lo] += v;
+        if (v != 0.0) emit(cell - lo, v);
       }
     }
     ks.remap_dense_cells += op.src_threads;
   }
 }
 
-}  // namespace
-
-void reduce_batched(std::span<const Experiment* const> sources,
-                    std::span<const OperandMapping> mappings,
-                    std::span<const double> factors, Experiment& out,
-                    const OperatorOptions& options, const TileReduce& reduce) {
+/// The one sweep behind both reduce_batched overloads.  `linear` selects
+/// the segmented sum: `reduce` ADDS its rows onto the accumulator, and
+/// scatter operands are applied between its segments in operand order.
+/// Otherwise `reduce` overwrites the accumulator with a fold over all N
+/// rows.
+void sweep(std::span<const Experiment* const> sources,
+           std::span<const OperandMapping> mappings,
+           std::span<const double> factors, Experiment& out,
+           const OperatorOptions& options, bool linear,
+           const TileReduce& reduce) {
   const OutShape os = shape_of(out.metadata());
   if (os.cells == 0 || sources.empty()) return;
-  const KernelCounters kc = KernelCounters::resolve(options.metrics);
-  if (kc.applications != nullptr) kc.applications->add(1);
-  if (kc.batch_width != nullptr) kc.batch_width->add(sources.size());
+  const KernelCounters kc(options.metrics);
+  if (options.metrics != nullptr) {
+    options.metrics->counter(kernel_counters::kApplications).add(1);
+    options.metrics->counter(kernel_counters::kPathBatched).add(1);
+    options.metrics->counter(kernel_counters::kBatchWidth)
+        .add(sources.size());
+  }
 
   std::vector<std::vector<Severity>> mirror_storage;
   const std::vector<BatchOperand> prepared =
-      prepare_batch(sources, mappings, os, mirror_storage);
+      prepare_batch(sources, mappings, os, linear, mirror_storage);
 
   DenseSeverity* dense_out =
       out.severity().kind() == StorageKind::Dense
@@ -307,7 +339,7 @@ void reduce_batched(std::span<const Experiment* const> sources,
 
   std::size_t num_gathered = 0;
   for (const BatchOperand& op : prepared) {
-    if (op.borrow == nullptr) ++num_gathered;
+    if (op.borrow == nullptr && !op.scatter) ++num_gathered;
   }
 
   run_cell_chunked(
@@ -335,7 +367,10 @@ void reduce_batched(std::span<const Experiment* const> sources,
                 op.rows.begin());
           }
         }
-        std::vector<Severity> staging(num_gathered * kTileCells);
+        // Rows are zero-filled when gathered; no value-initialization.
+        const std::size_t row_cells = std::min(kTileCells, hi - lo);
+        const std::unique_ptr<Severity[]> staging(
+            new Severity[num_gathered * row_cells]);
         std::vector<simd::TileRow> tile(prepared.size());
         std::vector<Severity> buf;
         if (dense_out == nullptr) buf.assign(hi - lo, 0.0);
@@ -343,23 +378,38 @@ void reduce_batched(std::span<const Experiment* const> sources,
         for (std::size_t tlo = lo; tlo < hi; tlo += kTileCells) {
           const std::size_t thi = std::min(hi, tlo + kTileCells);
           const std::size_t tn = thi - tlo;
-          std::size_t slot = 0;
-          for (std::size_t i = 0; i < prepared.size(); ++i) {
-            const BatchOperand& op = prepared[i];
-            if (op.borrow != nullptr) {
-              tile[i] = {op.borrow + tlo, factors[i]};
-              ks.identity_dense_cells += tn;
-              continue;
-            }
-            Severity* row = staging.data() + slot * kTileCells;
-            ++slot;
-            gather_tile(op, os, row, tlo, thi, cursor[i], ks);
-            tile[i] = {row, factors[i]};
-          }
+          // Both result kinds start the tile at +0.0: a fresh dense store
+          // is zero-filled, the sparse staging buffer likewise.
           Severity* acc = dense_out != nullptr
                               ? dense_out->cells_mut(tlo, thi).data()
                               : buf.data() + (tlo - lo);
-          reduce(acc, tile.data(), tile.size(), tn);
+          std::size_t nrows = 0;
+          std::size_t slot = 0;
+          for (std::size_t i = 0; i < prepared.size(); ++i) {
+            const BatchOperand& op = prepared[i];
+            if (op.scatter) {
+              if (nrows > 0) reduce(acc, tile.data(), nrows, tn);
+              nrows = 0;
+              const double f = factors[i];
+              visit_tile(op, os, tlo, thi, cursor[i], ks,
+                         [acc, f](std::size_t at, Severity v) {
+                           acc[at] += f * v;
+                         });
+              continue;
+            }
+            if (op.borrow != nullptr) {
+              tile[nrows++] = {op.borrow + tlo, factors[i]};
+              ks.identity_dense_cells += tn;
+              continue;
+            }
+            Severity* row = staging.get() + slot * row_cells;
+            ++slot;
+            std::fill(row, row + tn, 0.0);
+            visit_tile(op, os, tlo, thi, cursor[i], ks,
+                       [row](std::size_t at, Severity v) { row[at] += v; });
+            tile[nrows++] = {row, factors[i]};
+          }
+          if (nrows > 0) reduce(acc, tile.data(), nrows, tn);
           ++ks.batch_tiles;
         }
 
@@ -373,7 +423,67 @@ void reduce_batched(std::span<const Experiment* const> sources,
           release_consumed(sources, mappings, lo, hi);
         }
       });
-  if (dense_out == nullptr) merge_staged(out, os, staged);
+  if (dense_out == nullptr) merge_staged(out, staged);
+}
+
+}  // namespace
+
+void reduce_batched(std::span<const Experiment* const> sources,
+                    std::span<const OperandMapping> mappings,
+                    std::span<const double> factors, Experiment& out,
+                    const OperatorOptions& options) {
+  const simd::Policy policy = options.simd_policy;
+  sweep(sources, mappings, factors, out, options, /*linear=*/true,
+        [policy](Severity* acc, const simd::TileRow* rows, std::size_t nrows,
+                 std::size_t n) {
+          simd::reduce_sum(acc, rows, nrows, n, policy);
+        });
+}
+
+void reduce_batched(std::span<const Experiment* const> sources,
+                    std::span<const OperandMapping> mappings, Experiment& out,
+                    const OperatorOptions& options, const TileReduce& fold) {
+  const std::vector<double> ones(sources.size(), 1.0);
+  sweep(sources, mappings, ones, out, options, /*linear=*/false, fold);
+}
+
+Experiment apply_operator(const char* opname,
+                          std::span<const Experiment* const> operands,
+                          std::size_t min_operands,
+                          const IntegrationResult* hoisted,
+                          const OperatorOptions& options,
+                          const SeverityPhase& severity) {
+  if (operands.size() < min_operands) {
+    throw OperationError(std::string(opname) + " requires >= " +
+                         std::to_string(min_operands) +
+                         (min_operands == 1 ? " operand" : " operands"));
+  }
+  IntegrationResult local;
+  if (hoisted == nullptr) {
+    OBS_SPAN("phase.integrate");
+    local = integrate_metadata(operands, options.integration);
+    hoisted = &local;
+  } else if (hoisted->mappings.size() != operands.size()) {
+    throw OperationError(std::string(opname) + ": integration result covers " +
+                         std::to_string(hoisted->mappings.size()) +
+                         " operands, called with " +
+                         std::to_string(operands.size()));
+  }
+  Experiment out(hoisted->metadata, options.storage);
+  {
+    OBS_SPAN("phase.severity");
+    severity(*hoisted, out);
+  }
+  std::string prov = std::string(opname) + "(";
+  for (std::size_t i = 0; i < operands.size(); ++i) {
+    if (i > 0) prov += ", ";
+    const std::string name = operands[i]->name();
+    prov += !name.empty() ? name : "exp" + std::to_string(i + 1);
+  }
+  prov += ")";
+  out.mark_derived(prov);
+  out.set_name(prov);
+  return out;
 }
 
 }  // namespace cube::batch

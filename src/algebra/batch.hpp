@@ -1,37 +1,32 @@
-// Batched structure-of-arrays severity kernels (docs/KERNELS.md).
+// Batched structure-of-arrays severity kernels (docs/KERNELS.md) — the
+// one severity phase of every operator.
 //
-// The severity phase of an n-ary operator runs as ONE sweep through the
-// result's flattened cell space: the space is partitioned into the fixed
-// chunk grid (shared with the per-operand kernels of docs/STORAGE.md),
+// The severity phase of an operator runs as ONE sweep through the result's
+// flattened cell space: the space is partitioned into a fixed chunk grid,
 // each chunk is walked in tiles of kTileCells cells, and for every tile
 // each operand contributes one row of a structure-of-arrays staging block
 // — identity x dense operands borrow their cell span directly (zero
 // copies), remapped and sparse operands gather into the tile once — after
-// which a simd reduction folds the N rows per cell in operand order.
+// which a simd reduction folds the rows per cell in operand order.
 //
-// Precondition of the staging layout: no operand mapping may COALESCE two
-// source cells onto one result cell (per-dimension injectivity, checked
-// by batchable()).  Integration produces injective mappings for
-// well-formed metadata; if a mapping is not injective the operators fall
-// back to the per-operand chunk kernels, which accumulate coalescing
-// contributions exactly like the reference path.
-//
-// This header also hosts the chunking/counter infrastructure shared with
-// the per-operand kernels in operators.cpp.
+// Linear combinations (difference, merge, mean) never gather a sparse
+// operand, nor one whose mapping COALESCES several source cells onto one
+// result cell: those are scattered straight onto the accumulator
+// (acc[k] += f*v, one rounding per contribution, ascending source order)
+// at their operand position, between the simd segments of the tile fold.
+// Folds (min, max, stddev, variation) gather every non-borrowed operand;
+// coalescing contributions sum into the tile row in ascending source
+// order, exactly as the zero-extension rule materializes them.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "algebra/integration.hpp"
 #include "algebra/operators.hpp"
 #include "algebra/simd.hpp"
 #include "model/experiment.hpp"
-#include "obs/metrics.hpp"
 
 namespace cube::batch {
 
@@ -60,78 +55,48 @@ struct OutShape {
 
 [[nodiscard]] OutShape shape_of(const Metadata& md);
 
-using SparseSnapshot = std::vector<std::pair<std::uint64_t, Severity>>;
-
-/// The kernel counters of OperatorOptions::metrics, resolved ONCE per
-/// operator application (registration takes the registry mutex; updates
-/// are relaxed atomics).  All-null when no registry was supplied.
-struct KernelCounters {
-  obs::Counter* identity_dense_cells = nullptr;
-  obs::Counter* remap_dense_cells = nullptr;
-  obs::Counter* identity_sparse_nnz = nullptr;
-  obs::Counter* remap_sparse_nnz = nullptr;
-  obs::Counter* chunks = nullptr;
-  obs::Counter* applications = nullptr;
-  obs::Counter* batch_tiles = nullptr;
-  obs::Counter* batch_width = nullptr;
-
-  static KernelCounters resolve(obs::MetricsRegistry* registry);
-};
-
-/// Per-chunk kernel counters, flushed once into the shared registry.
-struct LocalKernelStats {
-  std::uint64_t identity_dense_cells = 0;
-  std::uint64_t remap_dense_cells = 0;
-  std::uint64_t identity_sparse_nnz = 0;
-  std::uint64_t remap_sparse_nnz = 0;
-  std::uint64_t batch_tiles = 0;
-
-  void flush(const KernelCounters& kc) const;
-};
-
-/// Runs body(chunk, cell_lo, cell_hi) over the fixed partition of
-/// [0, cells) into num_cell_chunks(cells) contiguous ranges.
-void run_cell_chunked(
-    const OperatorOptions& options, const KernelCounters& kc, std::size_t cells,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
-/// Writes the non-zero entries of per-chunk staging buffers into a sparse
-/// result, in chunk order.  Chunks cover disjoint cell ranges, so the
-/// stored values are independent of execution order by construction.
-void merge_staged(Experiment& out, const OutShape& os,
-                  std::vector<SparseSnapshot>& staged);
-
-/// Releases the file-backed pages of every identity-mapped operand for
-/// the consumed result cell range [lo, hi) — the streaming hook behind
-/// OperatorOptions::release_operand_pages.  Identity mappings make source
-/// and result cell indices coincide, so the range translates directly;
-/// remapped or owned operands are skipped.
-void release_consumed(std::span<const Experiment* const> sources,
-                      std::span<const OperandMapping> mappings,
-                      std::size_t lo, std::size_t hi);
-
-/// True if every mapping is per-dimension injective into the result space
-/// (no two source cells coalesce onto one result cell) — the precondition
-/// of the SoA staging layout.  kNoIndex entries (merge ownership masking)
-/// are skipped.
-[[nodiscard]] bool batchable(std::span<const OperandMapping> mappings,
+/// True if `mapping` sends two source cells onto one result cell (some
+/// dimension's map is not injective — e.g. sibling call paths with the
+/// same callee, which integration folds into one cnode).  kNoIndex
+/// entries (merge ownership masking) are skipped.
+[[nodiscard]] bool coalesces(const OperandMapping& mapping,
                              const OutShape& os);
 
-/// Per-tile reduction: overwrite acc[0, n) with a per-cell fold over the
-/// nrows operand rows (simd::reduce_sum, simd::reduce_extremum, or the
+/// Per-tile fold for reduce_batched: overwrite acc[0, n) with a per-cell
+/// fold over the nrows operand rows (simd::reduce_extremum or the
 /// statistics folds).
 using TileReduce = std::function<void(Severity* acc, const simd::TileRow* rows,
                                       std::size_t nrows, std::size_t n)>;
 
-/// The batched severity phase: one chunked sweep staging all N operands
-/// per tile and reducing them with `reduce`.  Requires batchable()
-/// mappings.  Dense results are reduced straight into their cell spans;
-/// sparse results go through per-chunk staging merged in fixed chunk
-/// order.  Bit-identical at any thread count, tile size, and batch width:
-/// the fold order per cell is the operand order, always.
+/// The severity phase of the linear combinations (difference, merge,
+/// mean): out = sum over operands of factors[i] * the operand's
+/// zero-extension, folded per cell in operand order and, within an
+/// operand, in ascending source-cell order.  Dense results are reduced
+/// straight into their cell spans; sparse results go through per-chunk
+/// staging merged in fixed chunk order.  Bit-identical at any thread
+/// count, tile size, batch width, and simd backend.
 void reduce_batched(std::span<const Experiment* const> sources,
                     std::span<const OperandMapping> mappings,
                     std::span<const double> factors, Experiment& out,
-                    const OperatorOptions& options, const TileReduce& reduce);
+                    const OperatorOptions& options);
+
+/// The severity phase of the folds (min, max, stddev, variation): every
+/// tile stages all N operand rows and `fold` reduces them.  Same sweep,
+/// staging and determinism contract as the linear overload.
+void reduce_batched(std::span<const Experiment* const> sources,
+                    std::span<const OperandMapping> mappings, Experiment& out,
+                    const OperatorOptions& options, const TileReduce& fold);
+
+/// The frame every operator application shares: requires at least
+/// `min_operands` operands, integrates them under a `phase.integrate` span
+/// — or validates a caller-hoisted IntegrationResult against them —
+/// creates the result in options.storage, runs `severity` under a
+/// `phase.severity` span, and names the result `opname(label1, ...)`.
+using SeverityPhase =
+    std::function<void(const IntegrationResult&, Experiment& out)>;
+[[nodiscard]] Experiment apply_operator(
+    const char* opname, std::span<const Experiment* const> operands,
+    std::size_t min_operands, const IntegrationResult* hoisted,
+    const OperatorOptions& options, const SeverityPhase& severity);
 
 }  // namespace cube::batch

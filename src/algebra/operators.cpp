@@ -1,620 +1,45 @@
 #include "algebra/operators.hpp"
 
-#include <algorithm>
-#include <string>
+#include <vector>
 
 #include "algebra/batch.hpp"
-#include "algebra/simd.hpp"
-#include "common/error.hpp"
 #include "obs/tracer.hpp"
 
 namespace cube {
 
 namespace {
 
-/// Runs the metadata-integration phase under its own span, so operator
-/// profiles separate integration cost from the severity kernels.
-IntegrationResult integrate_traced(std::span<const Experiment* const> operands,
-                                   const IntegrationOptions& options) {
-  OBS_SPAN("phase.integrate");
-  return integrate_metadata(operands, options);
-}
+using batch::apply_operator;
 
-std::string operand_label(const Experiment& e, std::size_t index) {
-  const std::string name = e.name();
-  return !name.empty() ? name : "exp" + std::to_string(index + 1);
-}
-
-std::string label_list(std::span<const Experiment* const> operands) {
-  std::string out;
-  for (std::size_t i = 0; i < operands.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += operand_label(*operands[i], i);
-  }
-  return out;
-}
-
-Experiment make_result(const IntegrationResult& integration,
-                       const OperatorOptions& options) {
-  return Experiment(integration.metadata, options.storage);
-}
-
-// ===========================================================================
-// Per-operand bulk kernels (docs/STORAGE.md)
-//
-// The severity phase of every operator is a linear pass over the result's
-// FLATTENED cell space [0, M*C*T), partitioned into fixed chunks.  Per
-// chunk, each operand is accumulated through the fastest applicable
-// kernel:
-//
-//   identity mapping x dense operand  -> remap-free flat array pass
-//   remapped         x dense operand  -> row-wise scatter, clamped to chunk
-//   identity mapping x sparse operand -> binary-searched non-zero range
-//   remapped         x sparse operand -> one pass over the sorted non-zeros
-//
-// Every kernel applies a cell's contributions in ascending source (m, c, t)
-// order and operands are processed in operand order, exactly like the
-// per-cell reference path below, so results are bit-identical to it (and
-// independent of the thread count — chunk boundaries depend only on the
-// shape).
-//
-// By default the severity phase runs through the batched SoA tile kernels
-// (algebra/batch.hpp, docs/KERNELS.md) instead; the per-operand kernels
-// here remain the fallback for non-injective operand mappings (where
-// coalescing source cells must accumulate) and for
-// OperatorOptions::use_batch_kernels == false.
-// ===========================================================================
-
-using batch::KernelCounters;
-using batch::kMaxCellChunks;
-using batch::LocalKernelStats;
-using batch::num_cell_chunks;
-using batch::OutShape;
-using batch::shape_of;
-using batch::SparseSnapshot;
-
-/// One operand's severity, prepared for the kernels: either a flat dense
-/// cell array (the store's own contiguous cells, or a densified mirror of
-/// a near-full sparse store) or a sorted non-zero snapshot.
-struct PreparedOperand {
-  const Severity* dense = nullptr;        ///< flat row-major cell array
-  const SparseSnapshot* snapshot = nullptr;  ///< sorted (key, value) list
-};
-
-/// Accumulates `factor` times the operand's zero-extended severity into
-/// `acc`, which covers the result cells [cell_lo, cell_hi) — acc[i] is
-/// result cell cell_lo + i.  Metric entries mapped to kNoIndex are
-/// skipped (merge ownership masking).
-void accumulate_operand(const Experiment& source, const OperandMapping& mapping,
-                        double factor, Severity* acc, std::size_t cell_lo,
-                        std::size_t cell_hi, const OutShape& os,
-                        const PreparedOperand& prep, LocalKernelStats& ks) {
-  const SeverityStore& sev = source.severity();
-  const bool identity = mapping.identity();
-
-  if (prep.dense != nullptr) {
-    if (identity) {
-      // The operand's cell space IS the result's: one aligned flat pass.
-      const Severity* src = prep.dense + cell_lo;
-      const std::size_t n = cell_hi - cell_lo;
-      if (factor == 1.0) {
-        for (std::size_t i = 0; i < n; ++i) acc[i] += src[i];
-      } else {
-        for (std::size_t i = 0; i < n; ++i) acc[i] += factor * src[i];
-      }
-      ks.identity_dense_cells += n;
-      return;
-    }
-    // Row-wise scatter: visit each source (metric, cnode) row whose mapped
-    // result row intersects the chunk; rows fully inside skip the per-cell
-    // bound check.
-    const Severity* all = prep.dense;
-    const std::size_t sm = sev.num_metrics();
-    const std::size_t sc = sev.num_cnodes();
-    const std::size_t st = sev.num_threads();
-    for (MetricIndex m = 0; m < sm; ++m) {
-      const MetricIndex om = mapping.metric_map[m];
-      if (om == kNoIndex) continue;
-      for (CnodeIndex c = 0; c < sc; ++c) {
-        const std::size_t out_row =
-            (om * os.cnodes + mapping.cnode_map[c]) * os.threads;
-        if (out_row + os.threads <= cell_lo || out_row >= cell_hi) continue;
-        const Severity* row = all + (m * sc + c) * st;
-        if (cell_lo <= out_row && out_row + os.threads <= cell_hi) {
-          for (ThreadIndex t = 0; t < st; ++t) {
-            const Severity v = row[t];
-            if (v != 0.0) {
-              acc[out_row + mapping.thread_map[t] - cell_lo] += factor * v;
-            }
-          }
-        } else {
-          for (ThreadIndex t = 0; t < st; ++t) {
-            const std::size_t cell = out_row + mapping.thread_map[t];
-            if (cell < cell_lo || cell >= cell_hi) continue;
-            const Severity v = row[t];
-            if (v != 0.0) acc[cell - cell_lo] += factor * v;
-          }
-        }
-        ks.remap_dense_cells += st;
-      }
-    }
-    return;
-  }
-
-  const SparseSnapshot* snapshot = prep.snapshot;
-  if (identity) {
-    // Source keys equal result cells: binary-search the chunk's range.
-    const auto first = std::lower_bound(
-        snapshot->begin(), snapshot->end(), cell_lo,
-        [](const auto& entry, std::uint64_t key) { return entry.first < key; });
-    std::uint64_t n = 0;
-    for (auto it = first; it != snapshot->end() && it->first < cell_hi; ++it) {
-      acc[it->first - cell_lo] += factor * it->second;
-      ++n;
-    }
-    ks.identity_sparse_nnz += n;
-    return;
-  }
-  // One ascending pass over the non-zeros, remapping each to its result
-  // cell and filtering by the chunk.  O(nnz) per chunk — still far below
-  // the O(M*C*T) dense index space a low-fill operand would otherwise pay.
-  const std::size_t st = sev.num_threads();
-  const std::size_t splane = sev.num_cnodes() * st;
-  std::uint64_t applied = 0;
-  for (const auto& [key, v] : *snapshot) {
-    const MetricIndex om = mapping.metric_map[key / splane];
-    if (om == kNoIndex) continue;
-    const std::size_t rest = key % splane;
-    const std::size_t cell = (om * os.cnodes + mapping.cnode_map[rest / st]) *
-                                 os.threads +
-                             mapping.thread_map[rest % st];
-    if (cell < cell_lo || cell >= cell_hi) continue;
-    acc[cell - cell_lo] += factor * v;
-    ++applied;
-  }
-  ks.remap_sparse_nnz += applied;
-}
-
-/// Prepares every operand once per operator application.  Dense stores
-/// expose their contiguous cells directly.  A sparse store is snapshotted
-/// into a sorted non-zero list (O(nnz log nnz); the kernels binary-search
-/// / scan it per chunk) — unless it is at least half full, where the
-/// snapshot costs more memory (16 bytes/entry) than a flat mirror
-/// (8 bytes/cell) and the sort dominates the whole operator: such
-/// operands are densified with one unordered scatter and handled by the
-/// dense kernels, whose ascending cell order keeps results bit-identical.
-std::vector<PreparedOperand> prepare_operands(
-    std::span<const Experiment* const> sources,
-    std::vector<SparseSnapshot>& snapshot_storage,
-    std::vector<std::vector<Severity>>& mirror_storage) {
-  snapshot_storage.resize(sources.size());
-  mirror_storage.resize(sources.size());
-  std::vector<PreparedOperand> prepared(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const SeverityStore& sev = sources[i]->severity();
-    if (sev.kind() != StorageKind::Sparse) {
-      prepared[i].dense = static_cast<const DenseSeverity&>(sev).cells().data();
-      continue;
-    }
-    const auto& sparse = static_cast<const SparseSeverity&>(sev);
-    if (2 * sparse.nonzero_count() >= sparse.num_cells()) {
-      mirror_storage[i].assign(sparse.num_cells(), 0.0);
-      sparse.scatter_into(mirror_storage[i]);
-      prepared[i].dense = mirror_storage[i].data();
-    } else {
-      snapshot_storage[i] = sparse.sorted_cells();
-      prepared[i].snapshot = &snapshot_storage[i];
-    }
-  }
-  return prepared;
-}
-
-using batch::merge_staged;
-using batch::run_cell_chunked;
-
-/// The severity phase shared by difference, merge, and mean: result cell
-/// values are sums of factor-scaled operand extensions.  Dense results are
-/// accumulated in place through disjoint mutable spans; sparse results go
-/// through per-chunk dense staging buffers (at most one per in-flight
-/// chunk) whose non-zeros are merged afterwards under the fixed chunk
-/// order.
-void bulk_linear_combine(std::span<const Experiment* const> sources,
-                         std::span<const OperandMapping> mappings,
-                         std::span<const double> factors, Experiment& out,
-                         const OperatorOptions& options) {
-  const OutShape os = shape_of(out.metadata());
-  if (os.cells == 0) return;
-  std::vector<SparseSnapshot> snapshot_storage;
-  std::vector<std::vector<Severity>> mirror_storage;
-  const auto prepared =
-      prepare_operands(sources, snapshot_storage, mirror_storage);
-  const KernelCounters kc = KernelCounters::resolve(options.metrics);
-  if (kc.applications != nullptr) kc.applications->add(1);
-
-  if (out.severity().kind() == StorageKind::Dense) {
-    auto& dense_out = static_cast<DenseSeverity&>(out.severity());
-    run_cell_chunked(options, kc, os.cells,
-                     [&](std::size_t, std::size_t lo, std::size_t hi) {
-                       LocalKernelStats ks;
-                       Severity* acc = dense_out.cells_mut(lo, hi).data();
-                       for (std::size_t i = 0; i < sources.size(); ++i) {
-                         accumulate_operand(*sources[i], mappings[i],
-                                            factors[i], acc, lo, hi, os,
-                                            prepared[i], ks);
-                       }
-                       ks.flush(kc);
-                       if (options.release_operand_pages) {
-                         batch::release_consumed(sources, mappings, lo, hi);
-                       }
-                     });
-    return;
-  }
-
-  std::vector<SparseSnapshot> staged(num_cell_chunks(os.cells));
-  run_cell_chunked(options, kc, os.cells,
-                   [&](std::size_t k, std::size_t lo, std::size_t hi) {
-                     LocalKernelStats ks;
-                     std::vector<Severity> buf(hi - lo, 0.0);
-                     for (std::size_t i = 0; i < sources.size(); ++i) {
-                       accumulate_operand(*sources[i], mappings[i], factors[i],
-                                          buf.data(), lo, hi, os, prepared[i],
-                                          ks);
-                     }
-                     for (std::size_t i = 0; i < buf.size(); ++i) {
-                       if (buf[i] != 0.0) staged[k].emplace_back(lo + i, buf[i]);
-                     }
-                     ks.flush(kc);
-                     if (options.release_operand_pages) {
-                       batch::release_consumed(sources, mappings, lo, hi);
-                     }
-                   });
-  merge_staged(out, os, staged);
-}
-
-/// The severity phase of min/max: per chunk, each operand's zero-extension
-/// is materialized into a scratch buffer and folded cell-wise in operand
-/// order.
-void bulk_reduce_extremum(std::span<const Experiment* const> sources,
-                          std::span<const OperandMapping> mappings,
-                          bool take_min, Experiment& out,
-                          const OperatorOptions& options) {
-  const OutShape os = shape_of(out.metadata());
-  if (os.cells == 0) return;
-  std::vector<SparseSnapshot> snapshot_storage;
-  std::vector<std::vector<Severity>> mirror_storage;
-  const auto prepared =
-      prepare_operands(sources, snapshot_storage, mirror_storage);
-  const KernelCounters kc = KernelCounters::resolve(options.metrics);
-  if (kc.applications != nullptr) kc.applications->add(1);
-
-  DenseSeverity* dense_out =
-      out.severity().kind() == StorageKind::Dense
-          ? &static_cast<DenseSeverity&>(out.severity())
-          : nullptr;
-  std::vector<SparseSnapshot> staged(
-      dense_out != nullptr ? 0 : num_cell_chunks(os.cells));
-
-  run_cell_chunked(
-      options, kc, os.cells,
-      [&](std::size_t k, std::size_t lo, std::size_t hi) {
-        LocalKernelStats ks;
-        const std::size_t n = hi - lo;
-        std::vector<Severity> acc(n, 0.0);
-        std::vector<Severity> cur(n);
-        for (std::size_t op = 0; op < sources.size(); ++op) {
-          std::fill(cur.begin(), cur.end(), 0.0);
-          accumulate_operand(*sources[op], mappings[op], 1.0, cur.data(), lo,
-                             hi, os, prepared[op], ks);
-          if (op == 0) {
-            acc = cur;
-          } else if (take_min) {
-            for (std::size_t i = 0; i < n; ++i) {
-              acc[i] = std::min(acc[i], cur[i]);
-            }
-          } else {
-            for (std::size_t i = 0; i < n; ++i) {
-              acc[i] = std::max(acc[i], cur[i]);
-            }
-          }
-        }
-        if (dense_out != nullptr) {
-          Severity* cells = dense_out->cells_mut(lo, hi).data();
-          for (std::size_t i = 0; i < n; ++i) {
-            if (acc[i] != 0.0) cells[i] = acc[i];
-          }
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            if (acc[i] != 0.0) staged[k].emplace_back(lo + i, acc[i]);
-          }
-        }
-        ks.flush(kc);
-        if (options.release_operand_pages) {
-          batch::release_consumed(sources, mappings, lo, hi);
-        }
-      });
-  if (dense_out == nullptr) merge_staged(out, os, staged);
-}
-
-/// Batch widths from which the all-sparse heuristic below applies.  Below
-/// it the two paths are within noise of each other and the batched path's
-/// tile staging amortizes fine.
-constexpr std::size_t kSparseSeriesWidth = 16;
-
-/// True when the per-operand chunk kernels are expected to beat the
-/// batched SoA path: every operand is identity-mapped AND sparse enough to
-/// stay sparse in both paths (below the densify threshold).  The batched
-/// path must then gather every operand's non-zeros into full dense tile
-/// rows and reduce all N rows per cell; the per-operand path just scatters
-/// each operand's non-zeros once, skipping the empty cells entirely.
-/// Measured at ~20% on width-64 identity series of 1% density
-/// (EXPERIMENTS.md A14); the gap grows with width and sparsity.
-bool prefer_per_operand(std::span<const Experiment* const> sources,
-                        std::span<const OperandMapping> mappings) {
-  if (sources.size() < kSparseSeriesWidth) return false;
-  for (const OperandMapping& m : mappings) {
-    if (!m.identity()) return false;
-  }
-  for (const Experiment* source : sources) {
-    const SeverityStore& sev = source->severity();
-    if (sev.kind() != StorageKind::Sparse) return false;
-    // At or past the densify threshold both paths go dense anyway.
-    if (2 * sev.nonzero_count() >= sev.num_cells()) return false;
-  }
-  return true;
-}
-
-/// Records which path the dispatch picked (kernel_counters::kPath*).
-void count_path(const OperatorOptions& options, bool batched) {
-  if (options.metrics == nullptr) return;
-  options.metrics
-      ->counter(batched ? kernel_counters::kPathBatched
-                        : kernel_counters::kPathPerOperand)
-      .add(1);
-}
-
-/// Dispatches the linear-combination severity phase onto the batched SoA
-/// tile path (default) or the per-operand chunk kernels — taken when the
-/// caller opted out, when an operand mapping coalesces source cells
-/// (which the staging layout cannot express, docs/KERNELS.md), or when
-/// the all-sparse series heuristic above predicts the per-operand path to
-/// win.  All paths are bit-identical.
-void severity_linear_combine(std::span<const Experiment* const> sources,
-                             std::span<const OperandMapping> mappings,
-                             std::span<const double> factors, Experiment& out,
-                             const OperatorOptions& options) {
-  if (options.use_batch_kernels &&
-      batch::batchable(mappings, shape_of(out.metadata())) &&
-      !prefer_per_operand(sources, mappings)) {
-    count_path(options, true);
-    const simd::Policy policy = options.simd_policy;
-    batch::reduce_batched(
-        sources, mappings, factors, out, options,
-        [policy](Severity* acc, const simd::TileRow* rows, std::size_t nrows,
-                 std::size_t n) {
-          simd::reduce_sum(acc, rows, nrows, n, policy);
-        });
-    return;
-  }
-  count_path(options, false);
-  bulk_linear_combine(sources, mappings, factors, out, options);
-}
-
-/// Same dispatch for the min/max severity phase.
-void severity_reduce_extremum(std::span<const Experiment* const> sources,
-                              std::span<const OperandMapping> mappings,
-                              bool take_min, Experiment& out,
-                              const OperatorOptions& options) {
-  if (options.use_batch_kernels &&
-      batch::batchable(mappings, shape_of(out.metadata())) &&
-      !prefer_per_operand(sources, mappings)) {
-    count_path(options, true);
-    const std::vector<double> ones(sources.size(), 1.0);
-    const simd::Policy policy = options.simd_policy;
-    batch::reduce_batched(
-        sources, mappings, ones, out, options,
-        [policy, take_min](Severity* acc, const simd::TileRow* rows,
-                           std::size_t nrows, std::size_t n) {
-          simd::reduce_extremum(acc, rows, nrows, n, take_min, policy);
-        });
-    return;
-  }
-  count_path(options, false);
-  bulk_reduce_extremum(sources, mappings, take_min, out, options);
-}
-
-/// Validates a caller-supplied hoisted IntegrationResult (docs/KERNELS.md)
-/// against the operand list it claims to cover.
-void check_hoisted(const char* opname,
-                   std::span<const Experiment* const> operands,
-                   const IntegrationResult& integration) {
-  if (integration.mappings.size() != operands.size()) {
-    throw OperationError(std::string(opname) + ": integration result covers " +
-                         std::to_string(integration.mappings.size()) +
-                         " operands, called with " +
-                         std::to_string(operands.size()));
-  }
-}
-
-/// For merge: a copy of the operand mappings where metrics NOT owned by
-/// the operand are masked to kNoIndex, so the shared kernels skip them.
-std::vector<OperandMapping> masked_merge_mappings(
-    const std::vector<OperandMapping>& mappings,
-    const std::vector<std::size_t>& owner) {
-  std::vector<OperandMapping> masked = mappings;
-  for (std::size_t op = 0; op < masked.size(); ++op) {
-    for (MetricIndex& om : masked[op].metric_map) {
-      if (owner[om] != op) {
-        om = kNoIndex;
-        masked[op].metric_identity = false;
-      }
-    }
-  }
-  return masked;
-}
-
-// ===========================================================================
-// Per-cell reference path (OperatorOptions::use_bulk_kernels == false)
-//
-// The original virtual get/add implementation, kept verbatim as the oracle
-// the equivalence suite compares the bulk kernels against bit-for-bit.
-// ===========================================================================
-
-/// Scatters operand `op`'s severity into `out` through its index mapping,
-/// scaled by `factor`.  Only non-zero source values are touched, so sparse
-/// operands cost what they contain.  Only output cells whose integrated
-/// metric index falls in [metric_lo, metric_hi) are written, so disjoint
-/// row ranges can be scattered concurrently into a dense store.
-void scatter_scaled(const Experiment& source, const OperandMapping& mapping,
-                    double factor, Experiment& out, MetricIndex metric_lo,
-                    MetricIndex metric_hi) {
-  const Metadata& md = source.metadata();
-  const SeverityStore& sev = source.severity();
-  for (MetricIndex m = 0; m < md.num_metrics(); ++m) {
-    const MetricIndex om = mapping.metric_map[m];
-    if (om < metric_lo || om >= metric_hi) continue;
-    for (CnodeIndex c = 0; c < md.num_cnodes(); ++c) {
-      const CnodeIndex oc = mapping.cnode_map[c];
-      for (ThreadIndex t = 0; t < md.num_threads(); ++t) {
-        const Severity v = sev.get(m, c, t);
-        if (v != 0.0) {
-          out.severity().add(om, oc, mapping.thread_map[t], factor * v);
-        }
-      }
-    }
-  }
-}
-
-/// Runs body(metric_lo, metric_hi) over a partition of [0, metrics).
-/// Sequential (one chunk) unless `options.parallel_for` is set and the
-/// result store allows concurrent disjoint writes (dense).
-void run_row_chunked(
-    const OperatorOptions& options, std::size_t metrics,
-    const std::function<void(MetricIndex, MetricIndex)>& body) {
-  if (!options.parallel_for || options.storage != StorageKind::Dense ||
-      metrics < 2) {
-    body(0, metrics);
-    return;
-  }
-  const std::size_t chunks = std::min(metrics, kMaxCellChunks);
-  options.parallel_for(chunks, [&](std::size_t k) {
-    const MetricIndex lo = k * metrics / chunks;
-    const MetricIndex hi = (k + 1) * metrics / chunks;
-    if (lo < hi) body(lo, hi);
-  });
-}
-
-void reference_reduce_extremum(std::span<const Experiment* const> operands,
-                               const IntegrationResult& integration,
-                               const OperatorOptions& options, bool take_min,
-                               Experiment& out) {
-  const Metadata& md = out.metadata();
-  const std::size_t plane = md.num_cnodes() * md.num_threads();
-
-  run_row_chunked(options, md.num_metrics(), [&](MetricIndex lo,
-                                                 MetricIndex hi) {
-    const std::size_t cells = (hi - lo) * plane;
-    std::vector<Severity> acc(cells, 0.0);
-    std::vector<Severity> cur(cells);
-    for (std::size_t op = 0; op < operands.size(); ++op) {
-      // Materialize this operand's extension over the chunk; cells the
-      // operand does not define stay zero and participate in the
-      // reduction as zero (the extension rule).  Coalescing source cells
-      // accumulate, exactly as they do through SeverityStore::add.
-      std::fill(cur.begin(), cur.end(), 0.0);
-      const Metadata& smd = operands[op]->metadata();
-      const SeverityStore& sev = operands[op]->severity();
-      const OperandMapping& mapping = integration.mappings[op];
-      for (MetricIndex m = 0; m < smd.num_metrics(); ++m) {
-        const MetricIndex om = mapping.metric_map[m];
-        if (om < lo || om >= hi) continue;
-        for (CnodeIndex c = 0; c < smd.num_cnodes(); ++c) {
-          const CnodeIndex oc = mapping.cnode_map[c];
-          for (ThreadIndex t = 0; t < smd.num_threads(); ++t) {
-            const Severity v = sev.get(m, c, t);
-            if (v != 0.0) {
-              cur[(om - lo) * plane + oc * md.num_threads() +
-                  mapping.thread_map[t]] += v;
-            }
-          }
-        }
-      }
-      for (std::size_t i = 0; i < cells; ++i) {
-        acc[i] = op == 0 ? cur[i]
-                         : (take_min ? std::min(acc[i], cur[i])
-                                     : std::max(acc[i], cur[i]));
-      }
-    }
-    for (MetricIndex m = lo; m < hi; ++m) {
-      for (CnodeIndex c = 0; c < md.num_cnodes(); ++c) {
-        for (ThreadIndex t = 0; t < md.num_threads(); ++t) {
-          const Severity v =
-              acc[(m - lo) * plane + c * md.num_threads() + t];
-          if (v != 0.0) out.severity().set(m, c, t, v);
-        }
-      }
-    }
-  });
-}
-
-/// Element-wise min/max share everything but the reduction.  `pre` is a
-/// caller-hoisted integration result, or null to integrate here.
-Experiment reduce_extremum(std::span<const Experiment* const> operands,
-                           const IntegrationResult* pre,
-                           const OperatorOptions& options, bool take_min,
-                           const char* opname) {
-  if (operands.empty()) {
-    throw OperationError(std::string(opname) + " requires >= 1 operand");
-  }
-  IntegrationResult local;
-  if (pre == nullptr) {
-    local = integrate_traced(operands, options.integration);
-    pre = &local;
-  } else {
-    check_hoisted(opname, operands, *pre);
-  }
-  const IntegrationResult& integration = *pre;
-  Experiment out = make_result(integration, options);
-  {
-    OBS_SPAN("phase.severity");
-    if (options.use_bulk_kernels) {
-      severity_reduce_extremum(operands, integration.mappings, take_min, out,
-                               options);
-    } else {
-      reference_reduce_extremum(operands, integration, options, take_min, out);
-    }
-  }
-  out.mark_derived(std::string(opname) + "(" + label_list(operands) + ")");
-  out.set_name(std::string(opname) + "(" + label_list(operands) + ")");
-  return out;
-}
-
-/// The mean severity phase + provenance over an already-integrated series.
+/// mean over an already-integrated (or to-be-integrated) series.
 Experiment mean_impl(std::span<const Experiment* const> operands,
-                     const IntegrationResult& integration,
+                     const IntegrationResult* hoisted,
                      const OperatorOptions& options) {
-  Experiment out = make_result(integration, options);
-  const double factor = 1.0 / static_cast<double>(operands.size());
-  {
-    OBS_SPAN("phase.severity");
-    if (options.use_bulk_kernels) {
-      const std::vector<double> factors(operands.size(), factor);
-      severity_linear_combine(operands, integration.mappings, factors, out,
+  return apply_operator(
+      "mean", operands, 1, hoisted, options,
+      [&](const IntegrationResult& integration, Experiment& out) {
+        const std::vector<double> factors(
+            operands.size(), 1.0 / static_cast<double>(operands.size()));
+        batch::reduce_batched(operands, integration.mappings, factors, out,
                               options);
-    } else {
-      run_row_chunked(options, out.metadata().num_metrics(),
-                      [&](MetricIndex lo, MetricIndex hi) {
-                        for (std::size_t op = 0; op < operands.size(); ++op) {
-                          scatter_scaled(*operands[op],
-                                         integration.mappings[op], factor, out,
-                                         lo, hi);
-                        }
-                      });
-    }
-  }
-  const std::string prov = "mean(" + label_list(operands) + ")";
-  out.mark_derived(prov);
-  out.set_name(prov);
-  return out;
+      });
+}
+
+/// Element-wise min/max share everything but the reduction.
+Experiment extremum_impl(std::span<const Experiment* const> operands,
+                         const IntegrationResult* hoisted,
+                         const OperatorOptions& options, bool take_min) {
+  return apply_operator(
+      take_min ? "min" : "max", operands, 1, hoisted, options,
+      [&](const IntegrationResult& integration, Experiment& out) {
+        const simd::Policy policy = options.simd_policy;
+        batch::reduce_batched(
+            operands, integration.mappings, out, options,
+            [policy, take_min](Severity* acc, const simd::TileRow* rows,
+                               std::size_t nrows, std::size_t n) {
+              simd::reduce_extremum(acc, rows, nrows, n, take_min, policy);
+            });
+      });
 }
 
 }  // namespace
@@ -623,98 +48,50 @@ Experiment difference(const Experiment& a, const Experiment& b,
                       const OperatorOptions& options) {
   OBS_SPAN("operator.diff");
   const Experiment* ops[] = {&a, &b};
-  IntegrationResult integration =
-      integrate_traced(ops, options.integration);
-  Experiment out = make_result(integration, options);
-  {
-    OBS_SPAN("phase.severity");
-    if (options.use_bulk_kernels) {
-      const double factors[] = {1.0, -1.0};
-      severity_linear_combine(ops, integration.mappings, factors, out,
+  return apply_operator(
+      "difference", ops, 2, nullptr, options,
+      [&](const IntegrationResult& integration, Experiment& out) {
+        const double factors[] = {1.0, -1.0};
+        batch::reduce_batched(ops, integration.mappings, factors, out,
                               options);
-    } else {
-      run_row_chunked(options, out.metadata().num_metrics(),
-                      [&](MetricIndex lo, MetricIndex hi) {
-                        scatter_scaled(a, integration.mappings[0], 1.0, out, lo,
-                                       hi);
-                        scatter_scaled(b, integration.mappings[1], -1.0, out,
-                                       lo, hi);
-                      });
-    }
-  }
-  const std::string prov = "difference(" + operand_label(a, 0) + ", " +
-                           operand_label(b, 1) + ")";
-  out.mark_derived(prov);
-  out.set_name(prov);
-  return out;
+      });
 }
 
 Experiment merge(const Experiment& a, const Experiment& b,
                  const OperatorOptions& options) {
   OBS_SPAN("operator.merge");
   const Experiment* ops[] = {&a, &b};
-  IntegrationResult integration =
-      integrate_traced(ops, options.integration);
-  Experiment out = make_result(integration, options);
-
-  // A metric of the integrated set is owned by the first operand that
-  // provides it; only the owner contributes its severities.
-  const std::size_t num_out_metrics = out.metadata().num_metrics();
-  std::vector<std::size_t> owner(num_out_metrics, kNoIndex);
-  for (std::size_t op = 0; op < 2; ++op) {
-    for (const MetricIndex om : integration.mappings[op].metric_map) {
-      if (owner[om] == kNoIndex) owner[om] = op;
-    }
-  }
-
-  {
-    OBS_SPAN("phase.severity");
-    if (options.use_bulk_kernels) {
-      const std::vector<OperandMapping> masked =
-          masked_merge_mappings(integration.mappings, owner);
-      const double factors[] = {1.0, 1.0};
-      severity_linear_combine(ops, masked, factors, out, options);
-    } else {
-      run_row_chunked(options, num_out_metrics, [&](MetricIndex lo,
-                                                    MetricIndex hi) {
+  return apply_operator(
+      "merge", ops, 2, nullptr, options,
+      [&](const IntegrationResult& integration, Experiment& out) {
+        // A metric of the integrated set is owned by the first operand
+        // that provides it; only the owner contributes its severities, so
+        // every other operand's copy of it is masked to kNoIndex.
+        std::vector<std::size_t> owner(out.metadata().num_metrics(),
+                                       kNoIndex);
         for (std::size_t op = 0; op < 2; ++op) {
-          const Experiment& source = *ops[op];
-          const OperandMapping& mapping = integration.mappings[op];
-          const Metadata& md = source.metadata();
-          for (MetricIndex m = 0; m < md.num_metrics(); ++m) {
-            const MetricIndex om = mapping.metric_map[m];
-            if (om < lo || om >= hi || owner[om] != op) continue;
-            for (CnodeIndex c = 0; c < md.num_cnodes(); ++c) {
-              const CnodeIndex oc = mapping.cnode_map[c];
-              for (ThreadIndex t = 0; t < md.num_threads(); ++t) {
-                const Severity v = source.severity().get(m, c, t);
-                if (v != 0.0) {
-                  out.severity().add(om, oc, mapping.thread_map[t], v);
-                }
-              }
+          for (const MetricIndex om : integration.mappings[op].metric_map) {
+            if (owner[om] == kNoIndex) owner[om] = op;
+          }
+        }
+        std::vector<OperandMapping> masked = integration.mappings;
+        for (std::size_t op = 0; op < masked.size(); ++op) {
+          for (MetricIndex& om : masked[op].metric_map) {
+            if (owner[om] != op) {
+              om = kNoIndex;
+              masked[op].metric_identity = false;
             }
           }
         }
+        const double factors[] = {1.0, 1.0};
+        batch::reduce_batched(ops, masked, factors, out, options);
       });
-    }
-  }
-
-  const std::string prov =
-      "merge(" + operand_label(a, 0) + ", " + operand_label(b, 1) + ")";
-  out.mark_derived(prov);
-  out.set_name(prov);
-  return out;
 }
 
 Experiment mean(std::span<const Experiment* const> operands,
                 const OperatorOptions& options) {
   OBS_SPAN("operator.mean");
-  if (operands.empty()) {
-    throw OperationError("mean requires >= 1 operand");
-  }
-  const IntegrationResult integration =
-      integrate_traced(operands, options.integration);
-  return mean_impl(operands, integration, options);
+  return mean_impl(operands, nullptr, options);
 }
 
 Experiment mean(const std::vector<const Experiment*>& operands,
@@ -726,40 +103,33 @@ Experiment mean(std::span<const Experiment* const> operands,
                 const IntegrationResult& integration,
                 const OperatorOptions& options) {
   OBS_SPAN("operator.mean");
-  if (operands.empty()) {
-    throw OperationError("mean requires >= 1 operand");
-  }
-  check_hoisted("mean", operands, integration);
-  return mean_impl(operands, integration, options);
+  return mean_impl(operands, &integration, options);
 }
 
 Experiment minimum(std::span<const Experiment* const> operands,
                    const OperatorOptions& options) {
   OBS_SPAN("operator.min");
-  return reduce_extremum(operands, nullptr, options, /*take_min=*/true, "min");
+  return extremum_impl(operands, nullptr, options, /*take_min=*/true);
 }
 
 Experiment maximum(std::span<const Experiment* const> operands,
                    const OperatorOptions& options) {
   OBS_SPAN("operator.max");
-  return reduce_extremum(operands, nullptr, options, /*take_min=*/false,
-                         "max");
+  return extremum_impl(operands, nullptr, options, /*take_min=*/false);
 }
 
 Experiment minimum(std::span<const Experiment* const> operands,
                    const IntegrationResult& integration,
                    const OperatorOptions& options) {
   OBS_SPAN("operator.min");
-  return reduce_extremum(operands, &integration, options, /*take_min=*/true,
-                         "min");
+  return extremum_impl(operands, &integration, options, /*take_min=*/true);
 }
 
 Experiment maximum(std::span<const Experiment* const> operands,
                    const IntegrationResult& integration,
                    const OperatorOptions& options) {
   OBS_SPAN("operator.max");
-  return reduce_extremum(operands, &integration, options, /*take_min=*/false,
-                         "max");
+  return extremum_impl(operands, &integration, options, /*take_min=*/false);
 }
 
 }  // namespace cube

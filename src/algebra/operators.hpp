@@ -5,6 +5,12 @@
 // a complete derived CUBE experiment — integrated metadata plus a severity
 // function defined over it — so outputs feed straight back into further
 // operators or into the display, exactly like original data.
+//
+// Each operator is defined once: integrate the operands' metadata, extend
+// every operand's severity to the integrated domain by zero-filling, and
+// combine the operands cell by cell.  The combination runs through one
+// kernel path, the batched sweep of algebra/batch.hpp; the per-cell oracle
+// the equivalence suites compare it against lives in tests/oracle.
 #pragma once
 
 #include <cstddef>
@@ -32,41 +38,37 @@ namespace cube {
 using ParallelFor =
     std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
-/// Stable names of the bulk-kernel counters operators record into
-/// OperatorOptions::metrics (docs/STORAGE.md, docs/OBSERVABILITY.md).
+/// Stable names of the severity-kernel counters operators record into
+/// OperatorOptions::metrics (docs/KERNELS.md, docs/OBSERVABILITY.md).
 /// Chunks of one application run concurrently; Counter updates are relaxed
 /// atomics, so the names can be bumped from any worker.
 namespace kernel_counters {
-/// Dense operand with an identity mapping: remap-free flat array pass.
+/// Dense operand with an identity mapping: cells borrowed per tile.
 inline constexpr const char* kIdentityDenseCells =
     "algebra.kernel.identity_dense_cells";
-/// Dense operand scattered through its index mapping (cells visited).
+/// Dense operand walked through its index mapping (source cells visited,
+/// once per tile a source row overlaps).
 inline constexpr const char* kRemapDenseCells =
     "algebra.kernel.remap_dense_cells";
 /// Sparse operand with an identity mapping (non-zeros applied).
 inline constexpr const char* kIdentitySparseNnz =
     "algebra.kernel.identity_sparse_nnz";
-/// Sparse operand scattered through its index mapping (non-zeros applied).
+/// Sparse operand walked through its index mapping (non-zeros applied).
 inline constexpr const char* kRemapSparseNnz =
     "algebra.kernel.remap_sparse_nnz";
 /// Cell chunks executed across all operator applications.
 inline constexpr const char* kChunks = "algebra.kernel.chunks";
-/// Operator applications that ran through the bulk path.
+/// Operator applications with a non-empty result cell space.
 inline constexpr const char* kApplications = "algebra.kernel.applications";
-/// SoA tiles staged and reduced by the batched n-ary kernels
-/// (docs/KERNELS.md).  Zero when every application took the per-operand
-/// or reference path.
+/// SoA tiles swept by the batched kernels (docs/KERNELS.md).
 inline constexpr const char* kBatchTiles = "algebra.kernel.batch_tiles";
-/// Sum of operand counts over batched applications; batch_width /
-/// applications is the average batch width.
+/// Sum of operand counts over applications; batch_width / applications
+/// is the average batch width.
 inline constexpr const char* kBatchWidth = "algebra.kernel.batch_width";
-/// Applications the dispatch sent through the batched SoA path.
+/// Applications that ran the batched sweep.  It is the only severity path,
+/// so this always equals kApplications; kept as a stable name for
+/// existing readers.
 inline constexpr const char* kPathBatched = "algebra.kernel.path_batched";
-/// Applications the dispatch sent through the per-operand chunk kernels —
-/// by opt-out, a non-batchable mapping, or the all-sparse series
-/// heuristic (EXPERIMENTS.md A14).
-inline constexpr const char* kPathPerOperand =
-    "algebra.kernel.path_per_operand";
 }  // namespace kernel_counters
 
 /// Options shared by all operators.
@@ -77,20 +79,7 @@ struct OperatorOptions {
   /// If set, the severity phase of the operator runs cell-chunked through
   /// this executor (see ParallelFor) — for dense AND sparse results.
   ParallelFor parallel_for;
-  /// Use the devirtualized bulk kernels (default).  False selects the
-  /// per-cell reference path, kept as the bit-identical oracle for the
-  /// equivalence suite; the reference path parallelizes dense results
-  /// by metric rows only.
-  bool use_bulk_kernels = true;
-  /// Use the batched structure-of-arrays tile kernels (docs/KERNELS.md)
-  /// for the severity phase (default).  False falls back to the
-  /// per-operand chunk kernels of docs/STORAGE.md — also taken
-  /// automatically per application when an operand mapping coalesces
-  /// source cells.  Both paths are bit-identical to the reference path,
-  /// so this knob never affects results (and is excluded from planner
-  /// cache keys).
-  bool use_batch_kernels = true;
-  /// SIMD policy of the batched reduction: Auto picks the best backend
+/// SIMD policy of the batched reduction: Auto picks the best backend
   /// the build and CPU support, ForceScalar pins the scalar oracle.
   /// Bit-identical either way.
   simd::Policy simd_policy = simd::Policy::Auto;
@@ -102,7 +91,7 @@ struct OperatorOptions {
   /// stores and remapped operands are untouched.  Never affects results —
   /// released pages refault from the file on the next access.
   bool release_operand_pages = false;
-  /// If non-null, the bulk-kernel counters (kernel_counters above) are
+  /// If non-null, the severity-kernel counters (kernel_counters above) are
   /// accumulated into this registry.  Pass a per-run local registry for
   /// isolated readings (the query engine does), or
   /// &obs::MetricsRegistry::global() to feed the process-wide one.

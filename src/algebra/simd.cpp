@@ -15,7 +15,7 @@ namespace cube::simd {
 void reduce_sum_scalar(Severity* acc, const TileRow* rows, std::size_t nrows,
                        std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    Severity sum = 0.0;
+    Severity sum = acc[i];
     for (std::size_t r = 0; r < nrows; ++r) {
       const Severity v = rows[r].data[i];
       sum += rows[r].factor == 1.0 ? v : rows[r].factor * v;
@@ -72,16 +72,14 @@ inline constexpr std::size_t kRowGroup = 4;
 __attribute__((target("avx2"))) void reduce_sum_avx2(
     Severity* acc, const TileRow* rows, std::size_t nrows,
     std::size_t n) noexcept {
-  std::size_t g = 0;
-  do {
+  for (std::size_t g = 0; g < nrows; g += kRowGroup) {
     const std::size_t gend = std::min(nrows, g + kRowGroup);
-    const bool first = g == 0;
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
-      __m256d a0 = first ? _mm256_setzero_pd() : _mm256_loadu_pd(acc + i);
-      __m256d a1 = first ? _mm256_setzero_pd() : _mm256_loadu_pd(acc + i + 4);
-      __m256d a2 = first ? _mm256_setzero_pd() : _mm256_loadu_pd(acc + i + 8);
-      __m256d a3 = first ? _mm256_setzero_pd() : _mm256_loadu_pd(acc + i + 12);
+      __m256d a0 = _mm256_loadu_pd(acc + i);
+      __m256d a1 = _mm256_loadu_pd(acc + i + 4);
+      __m256d a2 = _mm256_loadu_pd(acc + i + 8);
+      __m256d a3 = _mm256_loadu_pd(acc + i + 12);
       for (std::size_t r = g; r < gend; ++r) {
         const Severity* p = rows[r].data + i;
         const double f = rows[r].factor;
@@ -106,7 +104,7 @@ __attribute__((target("avx2"))) void reduce_sum_avx2(
       _mm256_storeu_pd(acc + i + 12, a3);
     }
     for (; i + 4 <= n; i += 4) {
-      __m256d a = first ? _mm256_setzero_pd() : _mm256_loadu_pd(acc + i);
+      __m256d a = _mm256_loadu_pd(acc + i);
       for (std::size_t r = g; r < gend; ++r) {
         const __m256d v = _mm256_loadu_pd(rows[r].data + i);
         const double f = rows[r].factor;
@@ -116,15 +114,14 @@ __attribute__((target("avx2"))) void reduce_sum_avx2(
       _mm256_storeu_pd(acc + i, a);
     }
     for (; i < n; ++i) {
-      Severity sum = first ? 0.0 : acc[i];
+      Severity sum = acc[i];
       for (std::size_t r = g; r < gend; ++r) {
         const Severity v = rows[r].data[i];
         sum += rows[r].factor == 1.0 ? v : rows[r].factor * v;
       }
       acc[i] = sum;
     }
-    g += kRowGroup;
-  } while (g < nrows);
+  }
 }
 
 // _mm256_min_pd(v, a) returns v < a ? v : a and falls back to the SECOND
@@ -202,16 +199,14 @@ inline constexpr std::size_t kRowGroup = 4;
 
 void reduce_sum_neon(Severity* acc, const TileRow* rows, std::size_t nrows,
                      std::size_t n) noexcept {
-  std::size_t g = 0;
-  do {
+  for (std::size_t g = 0; g < nrows; g += kRowGroup) {
     const std::size_t gend = std::min(nrows, g + kRowGroup);
-    const bool first = g == 0;
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
-      float64x2_t a0 = first ? vdupq_n_f64(0.0) : vld1q_f64(acc + i);
-      float64x2_t a1 = first ? vdupq_n_f64(0.0) : vld1q_f64(acc + i + 2);
-      float64x2_t a2 = first ? vdupq_n_f64(0.0) : vld1q_f64(acc + i + 4);
-      float64x2_t a3 = first ? vdupq_n_f64(0.0) : vld1q_f64(acc + i + 6);
+      float64x2_t a0 = vld1q_f64(acc + i);
+      float64x2_t a1 = vld1q_f64(acc + i + 2);
+      float64x2_t a2 = vld1q_f64(acc + i + 4);
+      float64x2_t a3 = vld1q_f64(acc + i + 6);
       for (std::size_t r = g; r < gend; ++r) {
         const Severity* p = rows[r].data + i;
         const double f = rows[r].factor;
@@ -235,15 +230,14 @@ void reduce_sum_neon(Severity* acc, const TileRow* rows, std::size_t nrows,
       vst1q_f64(acc + i + 6, a3);
     }
     for (; i < n; ++i) {
-      Severity sum = first ? 0.0 : acc[i];
+      Severity sum = acc[i];
       for (std::size_t r = g; r < gend; ++r) {
         const Severity v = rows[r].data[i];
         sum += rows[r].factor == 1.0 ? v : rows[r].factor * v;
       }
       acc[i] = sum;
     }
-    g += kRowGroup;
-  } while (g < nrows);
+  }
 }
 
 // vminq_f64 does not match std::min on NaN, so the fold is spelled as the

@@ -42,21 +42,23 @@ struct TileRow {
   double factor = 1.0;
 };
 
-// Each reduction overwrites acc[0, n).  The scalar variants below define
-// the exact per-cell arithmetic; the dispatched entry points reproduce it
-// bit-for-bit on every backend.
+// The scalar variants below define the exact per-cell arithmetic; the
+// dispatched entry points reproduce it bit-for-bit on every backend.
 
-/// acc[i] = 0.0 + f0*rows[0].data[i] + f1*rows[1].data[i] + ... in row
+/// acc[i] = acc[i] + f0*rows[0].data[i] + f1*rows[1].data[i] + ... in row
 /// order, with factor-1.0 rows added unscaled (f*v and the bare v are
-/// bit-equal for f == 1.0; the branch only skips the multiply).
+/// bit-equal for f == 1.0; the branch only skips the multiply).  Adds onto
+/// acc rather than overwriting it, so a fold can be split into segments
+/// with other contributions applied in between (the scattered operands of
+/// batch::reduce_batched); acc starts at +0.0.
 void reduce_sum_scalar(Severity* acc, const TileRow* rows, std::size_t nrows,
                        std::size_t n) noexcept;
 void reduce_sum(Severity* acc, const TileRow* rows, std::size_t nrows,
                 std::size_t n, Policy policy) noexcept;
 
-/// acc[i] = min/max fold over rows[r].data[i] + 0.0 in row order with
-/// std::min/std::max semantics (second argument loses ties and NaNs).
-/// Row factors are ignored.  The + 0.0 normalizes a stored -0.0 to +0.0,
+/// Overwrites acc[i] with the min/max fold over rows[r].data[i] + 0.0 in
+/// row order with std::min/std::max semantics (second argument loses ties
+/// and NaNs).  Row factors are ignored.  The + 0.0 normalizes a stored -0.0 to +0.0,
 /// matching values materialized through zero-initialized staging buffers.
 /// Requires nrows >= 1.
 void reduce_extremum_scalar(Severity* acc, const TileRow* rows,

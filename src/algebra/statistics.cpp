@@ -1,30 +1,18 @@
 #include "algebra/statistics.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "algebra/batch.hpp"
 #include "common/error.hpp"
+#include "obs/tracer.hpp"
 
 namespace cube {
 
 namespace {
 
-std::string series_label(std::span<const Experiment* const> operands) {
-  std::string out;
-  for (std::size_t i = 0; i < operands.size(); ++i) {
-    if (i > 0) out += ", ";
-    const std::string name = operands[i]->name();
-    out += name.empty() ? "exp" + std::to_string(i + 1) : name;
-  }
-  return out;
-}
-
-// The per-cell folds, written against an accessor at(r) -> r-th operand's
-// zero-extended value so the tiled batch path (strided rows) and the
-// reference path (contiguous values) share one arithmetic definition.
-// Accumulation order is operand order in both, so results are bit-equal.
+// The per-cell folds over an accessor at(r) -> r-th operand's
+// zero-extended value.  Accumulation order is operand order, so the
+// per-cell oracle (tests/oracle) reproduces them bit for bit.
 
 template <typename At>
 double cell_mean(const At& at, std::size_t n) {
@@ -41,108 +29,29 @@ double cell_stddev(const At& at, std::size_t n) {
   return std::sqrt(acc / static_cast<double>(n));
 }
 
-/// Reference reduction (the oracle, and the fallback for non-batchable
-/// mappings): materializes the extended severities per cell through the
-/// virtual store interface — coalescing source cells accumulate — and
-/// folds each cell's contiguous value vector.
-template <typename Fold>
-void reference_fold_series(std::span<const Experiment* const> operands,
-                           const IntegrationResult& integration,
-                           Experiment& out, const Fold& fold) {
-  const Metadata& md = out.metadata();
-  const std::size_t volume =
-      md.num_metrics() * md.num_cnodes() * md.num_threads();
-  const auto at = [&md](MetricIndex m, CnodeIndex c, ThreadIndex t) {
-    return (m * md.num_cnodes() + c) * md.num_threads() + t;
-  };
-
-  // values[cell * N + op]
-  const std::size_t n = operands.size();
-  std::vector<Severity> values(volume * n, 0.0);
-  for (std::size_t op = 0; op < n; ++op) {
-    const Experiment& source = *operands[op];
-    const OperandMapping& mapping = integration.mappings[op];
-    const Metadata& smd = source.metadata();
-    for (MetricIndex m = 0; m < smd.num_metrics(); ++m) {
-      for (CnodeIndex c = 0; c < smd.num_cnodes(); ++c) {
-        for (ThreadIndex t = 0; t < smd.num_threads(); ++t) {
-          const Severity v = source.severity().get(m, c, t);
-          if (v != 0.0) {
-            values[at(mapping.metric_map[m], mapping.cnode_map[c],
-                      mapping.thread_map[t]) *
-                       n +
-                   op] += v;
-          }
-        }
-      }
-    }
-  }
-
-  for (MetricIndex m = 0; m < md.num_metrics(); ++m) {
-    for (CnodeIndex c = 0; c < md.num_cnodes(); ++c) {
-      for (ThreadIndex t = 0; t < md.num_threads(); ++t) {
-        const Severity* cell = &values[at(m, c, t) * n];
-        const auto get = [cell](std::size_t r) { return cell[r]; };
-        const Severity v = fold(get, n);
-        if (v != 0.0) out.severity().set(m, c, t, v);
-      }
-    }
-  }
-}
-
-/// Shared reduction core: integrates the series once (or adopts a hoisted
-/// result), then folds the N operands per cell.  By default the fold runs
-/// through the batched SoA tile sweep (algebra/batch.hpp) — ONE chunked,
-/// optionally parallel traversal of the cell space with each operand
-/// staged as a tile row; the O(volume * N) materialization of the
-/// reference path above disappears.
+/// Shared reduction core: the operator frame of batch::apply_operator
+/// around ONE batched sweep, each operand staged as a tile row and the N
+/// rows folded per cell.
 template <typename Fold>
 Experiment reduce_series(std::span<const Experiment* const> operands,
-                         const IntegrationResult* pre,
+                         const IntegrationResult* hoisted,
                          const OperatorOptions& options, const char* opname,
                          const Fold& fold) {
-  if (operands.size() < 2) {
-    throw OperationError(std::string(opname) + " requires >= 2 operands");
-  }
-  IntegrationResult local;
-  if (pre == nullptr) {
-    local = integrate_metadata(operands, options.integration);
-    pre = &local;
-  } else if (pre->mappings.size() != operands.size()) {
-    throw OperationError(std::string(opname) +
-                         ": integration result covers " +
-                         std::to_string(pre->mappings.size()) +
-                         " operands, called with " +
-                         std::to_string(operands.size()));
-  }
-  const IntegrationResult& integration = *pre;
-
-  Experiment out(integration.metadata, options.storage);
-  const batch::OutShape os = batch::shape_of(out.metadata());
-  if (os.cells > 0) {
-    if (options.use_bulk_kernels && options.use_batch_kernels &&
-        batch::batchable(integration.mappings, os)) {
-      const std::vector<double> ones(operands.size(), 1.0);
-      batch::reduce_batched(
-          operands, integration.mappings, ones, out, options,
-          [&fold](Severity* acc, const simd::TileRow* rows, std::size_t nrows,
-                  std::size_t n) {
-            for (std::size_t i = 0; i < n; ++i) {
-              const auto get = [rows, i](std::size_t r) {
-                return rows[r].data[i];
-              };
-              acc[i] = fold(get, nrows);
-            }
-          });
-    } else {
-      reference_fold_series(operands, integration, out, fold);
-    }
-  }
-  const std::string prov =
-      std::string(opname) + "(" + series_label(operands) + ")";
-  out.mark_derived(prov);
-  out.set_name(prov);
-  return out;
+  return batch::apply_operator(
+      opname, operands, 2, hoisted, options,
+      [&](const IntegrationResult& integration, Experiment& out) {
+        batch::reduce_batched(
+            operands, integration.mappings, out, options,
+            [&fold](Severity* acc, const simd::TileRow* rows,
+                    std::size_t nrows, std::size_t n) {
+              for (std::size_t i = 0; i < n; ++i) {
+                const auto get = [rows, i](std::size_t r) {
+                  return rows[r].data[i];
+                };
+                acc[i] = fold(get, nrows);
+              }
+            });
+      });
 }
 
 const auto stddev_fold = [](const auto& at, std::size_t n) {
@@ -159,18 +68,21 @@ const auto variation_fold = [](const auto& at, std::size_t n) {
 
 Experiment stddev(std::span<const Experiment* const> operands,
                   const OperatorOptions& options) {
+  OBS_SPAN("operator.stddev");
   return reduce_series(operands, nullptr, options, "stddev", stddev_fold);
 }
 
 Experiment stddev(std::span<const Experiment* const> operands,
                   const IntegrationResult& integration,
                   const OperatorOptions& options) {
+  OBS_SPAN("operator.stddev");
   return reduce_series(operands, &integration, options, "stddev",
                        stddev_fold);
 }
 
 Experiment variation(std::span<const Experiment* const> operands,
                      const OperatorOptions& options) {
+  OBS_SPAN("operator.variation");
   return reduce_series(operands, nullptr, options, "variation",
                        variation_fold);
 }
@@ -178,6 +90,7 @@ Experiment variation(std::span<const Experiment* const> operands,
 Experiment variation(std::span<const Experiment* const> operands,
                      const IntegrationResult& integration,
                      const OperatorOptions& options) {
+  OBS_SPAN("operator.variation");
   return reduce_series(operands, &integration, options, "variation",
                        variation_fold);
 }

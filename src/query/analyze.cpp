@@ -47,21 +47,19 @@ Experiment metadata_probe(std::shared_ptr<const Metadata> metadata) {
 }
 
 /// Traversal count of one REMAPPED dense operand, replicating the
-/// executor's kernel counters exactly.  The row-wise scatter visits each
+/// executor's kernel counters exactly.  The row walk visits each
 /// source (metric, cnode) row once per cell-grid interval its result row
 /// intersects, counting the operand's thread width each time — so a row
 /// straddling an interval boundary is counted twice.  The grid is
-/// deterministic (run_cell_chunked): [0, cells) split into
-/// num_cell_chunks contiguous chunks, each swept in kTileCells tiles
-/// from its own lower bound when the batched path runs (`tiled`), in one
-/// piece otherwise.
+/// deterministic: [0, cells) split into num_cell_chunks contiguous
+/// chunks, each swept in kTileCells tiles from its own lower bound.
 std::uint64_t remap_dense_traversal(const OperandMapping& mapping,
                                     std::size_t src_metrics,
                                     std::size_t src_cnodes,
                                     std::size_t src_threads,
                                     std::size_t out_cnodes,
                                     std::size_t out_threads,
-                                    std::uint64_t out_cells, bool tiled) {
+                                    std::uint64_t out_cells) {
   if (out_cells == 0) return 0;
   const std::uint64_t chunks = batch::num_cell_chunks(out_cells);
   const auto chunk_lo = [&](std::uint64_t k) { return k * out_cells / chunks; };
@@ -89,9 +87,8 @@ std::uint64_t remap_dense_traversal(const OperandMapping& mapping,
         const std::uint64_t olo = std::max(lo, clo);
         const std::uint64_t ohi = std::min(hi, chi);
         if (ohi <= olo) continue;  // empty or non-overlapping chunk
-        intervals += tiled ? (ohi - 1 - clo) / batch::kTileCells -
-                                 (olo - clo) / batch::kTileCells + 1
-                           : 1;
+        intervals += (ohi - 1 - clo) / batch::kTileCells -
+                     (olo - clo) / batch::kTileCells + 1;
       }
       total += intervals * src_threads;
     }
@@ -313,19 +310,10 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
     // (kept sparse) or run a dense sweep — operand preparation densifies
     // any sparse operand at least half full, so those take the dense
     // kernels too.  An identity-mapped dense operand sweeps exactly its
-    // own cells; a remapped dense operand re-counts each source row once
-    // per chunk (and, under the batched kernels, per tile) of the
-    // deterministic grid it straddles, replicated by
+    // own cells; a remapped dense operand — gathered or, if it coalesces
+    // under a linear operator, scattered — re-counts each source row once
+    // per tile of the deterministic grid it straddles, replicated by
     // remap_dense_traversal().
-    batch::OutShape os;
-    os.metrics = cost.metrics;
-    os.cnodes = cost.cnodes;
-    os.threads = cost.threads;
-    os.plane = cost.cnodes * cost.threads;
-    os.cells = cost.cells;
-    const bool tiled = !mappings.empty() &&
-                       options.operators.use_batch_kernels &&
-                       batch::batchable(mappings, os);
     for (std::size_t a = 0; a < node.args.size(); ++a) {
       const NodeCost& c = analysis.nodes[node.args[a]];
       const bool dense_kernel =
@@ -335,7 +323,7 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
       } else if (a < mappings.size() && !mappings[a].identity()) {
         cost.cells_traversed += remap_dense_traversal(
             mappings[a], c.metrics, c.cnodes, c.threads, cost.cnodes,
-            cost.threads, cost.cells, tiled);
+            cost.threads, cost.cells);
       } else {
         cost.cells_traversed += c.cells;
       }

@@ -1,9 +1,9 @@
 // Randomized equivalence suite for the batched SoA severity kernels
-// (docs/KERNELS.md): the n-ary reductions through the batch path — in
-// scalar and SIMD form — must be BIT-IDENTICAL to both the per-cell
-// reference path (use_bulk_kernels = false) and the per-operand bulk
-// kernels (use_batch_kernels = false), across operators, storage kinds,
-// fill rates, batch widths, and thread counts.
+// (docs/KERNELS.md): every operator through the batched sweep — in scalar
+// and SIMD form — must be BIT-IDENTICAL to the per-cell oracle
+// (tests/oracle), across operators, metadata relationships (including
+// mappings that coalesce source cells), storage kinds, fill rates, batch
+// widths, and thread counts.
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -25,6 +25,7 @@
 #include "io/severity_format.hpp"
 #include "model/system_factory.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/reference_ops.hpp"
 
 namespace cube {
 namespace {
@@ -41,11 +42,17 @@ struct Shape {
   std::string prefix = "m";
   std::uint64_t seed = 1;
   StorageKind storage = StorageKind::Dense;
+  /// Every call-tree parent's second child — and, at odd depths, its
+  /// third — repeats the callee of its first: integration folds such
+  /// siblings into one cnode, so the operand's cnode mapping coalesces two
+  /// or three source cells onto one result cell.
+  bool duplicate_siblings = false;
 };
 
 /// Same deterministic generator as test_operators_bulk.cpp: pre-order
 /// entity insertion makes equal prefixes integrate via identity mappings
-/// while different prefixes share nothing.
+/// while different prefixes share nothing — unless duplicate_siblings
+/// asks for call paths that integration merges.
 Experiment make_random(const Shape& shape) {
   auto md = std::make_unique<Metadata>();
 
@@ -64,13 +71,19 @@ Experiment make_random(const Shape& shape) {
   const std::function<void(const Cnode*, std::size_t)> grow =
       [&](const Cnode* p, std::size_t depth) {
         if (depth >= 5) return;
+        const Region* first = nullptr;
         for (int k = 0; k < 3 && created < shape.cnodes; ++k) {
-          const Region& r = md->add_region(
-              shape.prefix + "_f" + std::to_string(created), "test.c",
-              2 * static_cast<long>(created) + 1,
-              2 * static_cast<long>(created) + 2);
+          const Region* r = first;
+          const bool duplicate = k == 1 || (k == 2 && depth % 2 == 1);
+          if (!shape.duplicate_siblings || !duplicate) {
+            r = &md->add_region(
+                shape.prefix + "_f" + std::to_string(created), "test.c",
+                2 * static_cast<long>(created) + 1,
+                2 * static_cast<long>(created) + 2);
+          }
+          if (k == 0) first = r;
           ++created;
-          grow(&md->add_cnode_for_region(p, r), depth + 1);
+          grow(&md->add_cnode_for_region(p, *r), depth + 1);
         }
       };
   grow(root, 0);
@@ -116,7 +129,14 @@ void expect_bit_identical(const Experiment& got, const Experiment& want,
       << label;
 }
 
-enum class OpKind { Mean, Min, Max, Stddev, Diff, Merge };
+enum class OpKind { Mean, Min, Max, Stddev, Variation, Diff, Merge };
+
+constexpr OpKind kAllOps[] = {OpKind::Mean,      OpKind::Min,
+                              OpKind::Max,       OpKind::Stddev,
+                              OpKind::Variation, OpKind::Diff,
+                              OpKind::Merge};
+
+bool binary(OpKind op) { return op == OpKind::Diff || op == OpKind::Merge; }
 
 Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
                  const OperatorOptions& options) {
@@ -126,8 +146,27 @@ Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
     case OpKind::Min: return minimum(span, options);
     case OpKind::Max: return maximum(span, options);
     case OpKind::Stddev: return stddev(span, options);
+    case OpKind::Variation: return variation(span, options);
     case OpKind::Diff: return difference(*operands[0], *operands[1], options);
     case OpKind::Merge: return merge(*operands[0], *operands[1], options);
+  }
+  throw std::logic_error("unreachable");
+}
+
+Experiment apply_oracle(OpKind op,
+                        const std::vector<const Experiment*>& operands,
+                        const OperatorOptions& options) {
+  const std::span<const Experiment* const> span(operands);
+  switch (op) {
+    case OpKind::Mean: return oracle::mean(span, options);
+    case OpKind::Min: return oracle::minimum(span, options);
+    case OpKind::Max: return oracle::maximum(span, options);
+    case OpKind::Stddev: return oracle::stddev(span, options);
+    case OpKind::Variation: return oracle::variation(span, options);
+    case OpKind::Diff:
+      return oracle::difference(*operands[0], *operands[1], options);
+    case OpKind::Merge:
+      return oracle::merge(*operands[0], *operands[1], options);
   }
   throw std::logic_error("unreachable");
 }
@@ -138,21 +177,28 @@ const char* op_label(OpKind op) {
     case OpKind::Min: return "min";
     case OpKind::Max: return "max";
     case OpKind::Stddev: return "stddev";
+    case OpKind::Variation: return "variation";
     case OpKind::Diff: return "diff";
     case OpKind::Merge: return "merge";
   }
   return "?";
 }
 
-enum class MetaKind { Identical, Overlapping, Disjoint };
+enum class MetaKind { Identical, Overlapping, Disjoint, Coalescing };
 
+/// `alternate` flips every odd operand to the other storage kind, so
+/// gathered or borrowed rows and scattered operands interleave.
 std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
-                                      double fill, StorageKind storage) {
+                                      double fill, StorageKind storage,
+                                      bool alternate = false) {
+  const StorageKind other = storage == StorageKind::Dense
+                                ? StorageKind::Sparse
+                                : StorageKind::Dense;
   std::vector<Experiment> operands;
   for (std::size_t i = 0; i < count; ++i) {
     Shape s;
     s.fill = fill;
-    s.storage = storage;
+    s.storage = alternate && i % 2 == 1 ? other : storage;
     s.seed = i + 1;
     switch (meta) {
       case MetaKind::Identical:
@@ -165,8 +211,15 @@ std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
         s.cnodes -= 5 * (i % 4);
         break;
       case MetaKind::Disjoint:
-        s.prefix = "p" + std::to_string(i) + "_";
+        s.prefix = "p";
+        s.prefix += std::to_string(i) + "_";
         s.cnodes = 20 + 3 * (i % 6);
+        break;
+      case MetaKind::Coalescing:
+        // Overlapping call trees whose sibling call paths repeat a
+        // callee: every operand's cnode mapping coalesces.
+        s.duplicate_siblings = true;
+        s.cnodes -= 5 * (i % 4);
         break;
     }
     operands.push_back(make_random(s));
@@ -176,8 +229,9 @@ std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
 
 class BatchEquivalence : public ::testing::TestWithParam<MetaKind> {};
 
-// The core equivalence matrix: reference vs per-operand vs batch-scalar
-// vs batch-auto, at batch widths up to 16 and 1/4/8 executor threads.
+// The core equivalence matrix: oracle vs batch-scalar vs batch-auto for
+// every operator, at batch widths up to 16 (binary operators: 2) and
+// 1/4/8 executor threads.
 TEST_P(BatchEquivalence, AllPathsBitIdentical) {
   const MetaKind meta = GetParam();
   ThreadPool pool4(4);
@@ -189,9 +243,10 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
     };
   };
 
-  for (const OpKind op : {OpKind::Mean, OpKind::Min, OpKind::Max}) {
+  for (const OpKind op : kAllOps) {
     for (const std::size_t width :
          {std::size_t{2}, std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
+      if (binary(op) && width != 2) continue;
       for (const double fill : {1.0, 0.1, 0.01}) {
         // Wide batches only need the boundary fills; the middle fill adds
         // nothing new once the narrow widths covered it.
@@ -207,8 +262,7 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
                {StorageKind::Dense, StorageKind::Sparse}) {
             OperatorOptions reference;
             reference.storage = result_storage;
-            reference.use_bulk_kernels = false;
-            const Experiment want = apply(op, ptrs, reference);
+            const Experiment want = apply_oracle(op, ptrs, reference);
 
             const std::string base =
                 std::string(op_label(op)) + " n=" + std::to_string(width) +
@@ -221,21 +275,17 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
                  {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
               const std::string label =
                   base + " threads=" + std::to_string(threads);
-              const auto run = [&](bool batch, simd::Policy policy) {
+              const auto run = [&](simd::Policy policy) {
                 OperatorOptions o;
                 o.storage = result_storage;
-                o.use_batch_kernels = batch;
                 o.simd_policy = policy;
                 if (threads == 4) o.parallel_for = pool_for(pool4);
                 if (threads == 8) o.parallel_for = pool_for(pool8);
                 return apply(op, ptrs, o);
               };
-              expect_bit_identical(run(false, simd::Policy::Auto), want,
-                                   label + " per-operand");
-              expect_bit_identical(
-                  run(true, simd::Policy::ForceScalar), want,
-                  label + " batch-scalar");
-              expect_bit_identical(run(true, simd::Policy::Auto), want,
+              expect_bit_identical(run(simd::Policy::ForceScalar), want,
+                                   label + " batch-scalar");
+              expect_bit_identical(run(simd::Policy::Auto), want,
                                    label + " batch-simd");
             }
           }
@@ -248,12 +298,14 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllMetadataKinds, BatchEquivalence,
                          ::testing::Values(MetaKind::Identical,
                                            MetaKind::Overlapping,
-                                           MetaKind::Disjoint),
+                                           MetaKind::Disjoint,
+                                           MetaKind::Coalescing),
                          [](const auto& info) {
                            switch (info.param) {
                              case MetaKind::Identical: return "Identical";
                              case MetaKind::Overlapping: return "Overlapping";
                              case MetaKind::Disjoint: return "Disjoint";
+                             case MetaKind::Coalescing: return "Coalescing";
                            }
                            return "Unknown";
                          });
@@ -262,14 +314,12 @@ INSTANTIATE_TEST_SUITE_P(AllMetadataKinds, BatchEquivalence,
 TEST(BatchKernels, BinaryOperatorsMatchReference) {
   for (const OpKind op : {OpKind::Diff, OpKind::Merge}) {
     for (const MetaKind meta :
-         {MetaKind::Identical, MetaKind::Overlapping, MetaKind::Disjoint}) {
+         {MetaKind::Identical, MetaKind::Overlapping, MetaKind::Disjoint,
+          MetaKind::Coalescing}) {
       const auto operands =
           make_operands(meta, 2, 0.3, StorageKind::Dense);
       std::vector<const Experiment*> ptrs = {&operands[0], &operands[1]};
-
-      OperatorOptions reference;
-      reference.use_bulk_kernels = false;
-      const Experiment want = apply(op, ptrs, reference);
+      const Experiment want = apply_oracle(op, ptrs, {});
 
       OperatorOptions batch;
       batch.simd_policy = simd::Policy::ForceScalar;
@@ -277,6 +327,45 @@ TEST(BatchKernels, BinaryOperatorsMatchReference) {
                            std::string(op_label(op)) + " batch-scalar");
       expect_bit_identical(apply(op, ptrs, {}), want,
                            std::string(op_label(op)) + " batch-simd");
+    }
+  }
+}
+
+// Series mixing dense and sparse operands: a linear combination folds the
+// dense operands' rows in simd segments and scatters the sparse ones in
+// between, in operand order; the folds gather them all.  Either way the
+// result is the oracle's, bit for bit.
+TEST(BatchKernels, MixedStorageSeriesMatchReference) {
+  ThreadPool pool(4);
+  for (const MetaKind meta : {MetaKind::Identical, MetaKind::Overlapping,
+                              MetaKind::Disjoint, MetaKind::Coalescing}) {
+    for (const OpKind op : kAllOps) {
+      for (const StorageKind first :
+           {StorageKind::Dense, StorageKind::Sparse}) {
+        const auto operands = make_operands(meta, binary(op) ? 2 : 5, 0.1,
+                                            first, /*alternate=*/true);
+        std::vector<const Experiment*> ptrs;
+        for (const auto& e : operands) ptrs.push_back(&e);
+        const Experiment want = apply_oracle(op, ptrs, {});
+        for (const simd::Policy policy :
+             {simd::Policy::ForceScalar, simd::Policy::Auto}) {
+          for (const bool parallel : {false, true}) {
+            OperatorOptions o;
+            o.simd_policy = policy;
+            if (parallel) {
+              o.parallel_for = [&pool](std::size_t n, const auto& body) {
+                pool.parallel_for(n, body);
+              };
+            }
+            expect_bit_identical(
+                apply(op, ptrs, o), want,
+                std::string(op_label(op)) + " first=" +
+                    (first == StorageKind::Dense ? "dense" : "sparse") +
+                    (policy == simd::Policy::Auto ? " simd" : " scalar") +
+                    (parallel ? " threads=4" : " threads=1"));
+          }
+        }
+      }
     }
   }
 }
@@ -311,52 +400,33 @@ TEST(BatchKernels, SingleSweepCountersForWideSeries) {
             batch::kMaxCellChunks);
 }
 
-// Disabling the batch path must leave the batch counters silent and fall
-// back to the per-operand kernels.
-TEST(BatchKernels, PerOperandFallbackLeavesBatchCountersSilent) {
-  const auto operands =
-      make_operands(MetaKind::Identical, 4, 0.5, StorageKind::Dense);
-  std::vector<const Experiment*> ptrs;
-  for (const auto& e : operands) ptrs.push_back(&e);
-
-  OperatorOptions options;
-  options.use_batch_kernels = false;
-  obs::MetricsRegistry stats;
-  options.metrics = &stats;
-  (void)mean(ptrs, options);
-
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchWidth), 0u);
-  EXPECT_GT(kernel_count(stats, kernel_counters::kIdentityDenseCells), 0u);
-}
-
-// The dispatch heuristic (EXPERIMENTS.md A14): a wide all-sparse
-// identity-mapped series runs the per-operand chunk kernels — gathering
-// mostly-zero rows into SoA tiles costs more than it saves — and the
-// path counters record the decision.
-TEST(BatchKernels, WideSparseSeriesPrefersPerOperandPath) {
+// A wide all-sparse identity-mapped series: the linear combination
+// scatters each operand's non-zeros straight onto the accumulator — no
+// tile row is gathered, so the work is the stored non-zeros, not N times
+// the cell space — and stays bit-identical to the oracle.
+TEST(BatchKernels, WideSparseSeriesScattersOnlyItsNonZeros) {
   const auto operands =
       make_operands(MetaKind::Identical, 16, 0.2, StorageKind::Sparse);
   std::vector<const Experiment*> ptrs;
-  for (const auto& e : operands) ptrs.push_back(&e);
+  std::uint64_t nnz = 0;
+  for (const auto& e : operands) {
+    ptrs.push_back(&e);
+    nnz += e.severity().nonzero_count();
+  }
 
   OperatorOptions options;
   obs::MetricsRegistry stats;
   options.metrics = &stats;
   const Experiment got = mean(ptrs, options);
 
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 1u);
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 0u);
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
-
-  // The heuristic is a pure path choice: bit-identical to the reference.
-  OperatorOptions reference;
-  reference.use_bulk_kernels = false;
-  expect_bit_identical(got, mean(ptrs, reference), "a14 heuristic");
+  EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 1u);
+  EXPECT_GT(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
+  EXPECT_EQ(kernel_count(stats, kernel_counters::kIdentitySparseNnz), nnz);
+  EXPECT_EQ(kernel_count(stats, kernel_counters::kIdentityDenseCells), 0u);
+  expect_bit_identical(got, oracle::mean(ptrs), "wide sparse mean");
 }
 
-// Below the width threshold — or with any dense operand — the batched
-// path keeps winning and the dispatch says so.
+// Narrow or dense series take the same one path.
 TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
   {
     const auto operands =
@@ -368,7 +438,6 @@ TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
     options.metrics = &stats;
     (void)mean(ptrs, options);
     EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 1u);
-    EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 0u);
   }
   {
     const auto operands =
@@ -380,7 +449,6 @@ TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
     options.metrics = &stats;
     (void)mean(ptrs, options);
     EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 1u);
-    EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 0u);
   }
 }
 
@@ -430,10 +498,11 @@ TEST(BatchKernels, ReleasingOperandPagesNeverChangesResults) {
   std::filesystem::remove_all(dir);
 }
 
-// batchable() is the gate: per-dimension injective mappings qualify, a
-// coalescing (non-injective) mapping must fall back — the batch gather
-// assumes at most one contribution per result cell per operand.
-TEST(BatchKernels, NonInjectiveMappingIsNotBatchable) {
+// coalesces() classifies the mappings whose source cells must be applied
+// one rounding at a time: per-dimension injective mappings (also with
+// merge's kNoIndex masking) do not coalesce; two source metrics onto one
+// result metric do.
+TEST(BatchKernels, CoalescingMappingsAreDetected) {
   batch::OutShape os;
   os.metrics = 4;
   os.cnodes = 3;
@@ -457,18 +526,22 @@ TEST(BatchKernels, NonInjectiveMappingIsNotBatchable) {
   OperandMapping masked = injective;
   masked.metric_map = {kNoIndex, 0, kNoIndex};  // masking stays injective
 
-  {
-    const OperandMapping mappings[] = {identity, injective};
-    EXPECT_TRUE(batchable(mappings, os));
-  }
-  {
-    const OperandMapping mappings[] = {identity, masked};
-    EXPECT_TRUE(batchable(mappings, os));
-  }
-  {
-    const OperandMapping mappings[] = {identity, coalescing};
-    EXPECT_FALSE(batchable(mappings, os));
-  }
+  EXPECT_FALSE(batch::coalesces(identity, os));
+  EXPECT_FALSE(batch::coalesces(injective, os));
+  EXPECT_FALSE(batch::coalesces(masked, os));
+  EXPECT_TRUE(batch::coalesces(coalescing, os));
+
+  // The generator's duplicate sibling call paths integrate into one
+  // cnode: the matrix kind really exercises coalescing mappings.
+  const auto operands =
+      make_operands(MetaKind::Coalescing, 2, 0.5, StorageKind::Dense);
+  const IntegrationResult integration =
+      integrate_metadata(operands[0], operands[1]);
+  EXPECT_LT(integration.metadata->num_cnodes(),
+            operands[0].metadata().num_cnodes());
+  const batch::OutShape merged = batch::shape_of(*integration.metadata);
+  EXPECT_TRUE(batch::coalesces(integration.mappings[0], merged));
+  EXPECT_TRUE(batch::coalesces(integration.mappings[1], merged));
 }
 
 // The SIMD primitives themselves: whatever backend the dispatcher picks
@@ -495,7 +568,12 @@ TEST(BatchKernels, SimdPrimitivesMatchScalarBitForBit) {
                    r % 3 == 0 ? 1.0 : rng.uniform(-2.0, 2.0)};
       }
 
+      // reduce_sum adds onto the accumulator: start both from the same
+      // non-zero values.
       std::vector<Severity> want(n), got(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = got[i] = i % 5 == 0 ? 0.0 : rng.uniform(-5.0, 10.0);
+      }
       simd::reduce_sum_scalar(want.data(), tile.data(), rows, n);
       simd::reduce_sum(got.data(), tile.data(), rows, n,
                        simd::Policy::Auto);

@@ -1,9 +1,8 @@
-// Randomized equivalence suite for the bulk severity kernels: every
-// operator, over dense/sparse operand combinations at fill rates
-// {100 %, 10 %, 1 %} and thread counts {1, 4}, must produce results
-// BIT-IDENTICAL to the per-cell reference path
-// (OperatorOptions::use_bulk_kernels = false).  See docs/STORAGE.md for
-// the ordering contract that makes this hold.
+// Randomized equivalence suite for the severity kernels: every operator,
+// over dense/sparse operand combinations at fill rates {100 %, 10 %, 1 %}
+// and thread counts {1, 4}, must produce results BIT-IDENTICAL to the
+// per-cell oracle (tests/oracle).  See docs/KERNELS.md for the ordering
+// contract that makes this hold.
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -18,6 +17,7 @@
 #include "common/thread_pool.hpp"
 #include "model/system_factory.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/reference_ops.hpp"
 
 namespace cube {
 namespace {
@@ -133,6 +133,22 @@ Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
   throw std::logic_error("unreachable");
 }
 
+Experiment apply_oracle(OpKind op,
+                        const std::vector<const Experiment*>& operands,
+                        const OperatorOptions& options) {
+  const std::span<const Experiment* const> span(operands);
+  switch (op) {
+    case OpKind::Diff:
+      return oracle::difference(*operands[0], *operands[1], options);
+    case OpKind::Merge:
+      return oracle::merge(*operands[0], *operands[1], options);
+    case OpKind::Mean: return oracle::mean(span, options);
+    case OpKind::Min: return oracle::minimum(span, options);
+    case OpKind::Max: return oracle::maximum(span, options);
+  }
+  throw std::logic_error("unreachable");
+}
+
 const char* op_name(OpKind op) {
   switch (op) {
     case OpKind::Diff: return "diff";
@@ -200,8 +216,7 @@ TEST_P(BulkEquivalence, MatchesPerCellReferenceBitForBit) {
              {StorageKind::Dense, StorageKind::Sparse}) {
           OperatorOptions reference;
           reference.storage = result_storage;
-          reference.use_bulk_kernels = false;
-          const Experiment want = apply(op, ptrs, reference);
+          const Experiment want = apply_oracle(op, ptrs, reference);
 
           for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             OperatorOptions bulk;
@@ -224,7 +239,7 @@ TEST_P(BulkEquivalence, MatchesPerCellReferenceBitForBit) {
                 << label;
             // The right kernel family must have fired for the operands.
             // Sparse operands at full occupancy are densified (see the
-            // prepare_operands threshold) and legitimately run the dense
+            // prepare_batch threshold) and legitimately run the dense
             // kernels.
             const bool dense_ops = operand_storage == StorageKind::Dense;
             const std::uint64_t dense_work =
@@ -336,9 +351,7 @@ TEST(BulkKernels, SingleMetricExperimentStillChunks) {
   const Experiment bulk = difference(a, b, options);
   EXPECT_GT(kernel_count(stats, kernel_counters::kChunks), 1u);
 
-  OperatorOptions reference;
-  reference.use_bulk_kernels = false;
-  expect_bit_identical(bulk, difference(a, b, reference), "1-metric chunked");
+  expect_bit_identical(bulk, oracle::difference(a, b), "1-metric chunked");
 }
 
 TEST(BulkKernels, SparseResultParallelMatchesSequential) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/operators.hpp"
+#include "algebra/statistics.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "io/repository.hpp"
@@ -201,6 +204,48 @@ TEST_F(ObsIntegrationTest, ThrowingOperatorUnwindsItsSpans) {
   }
   EXPECT_TRUE(diff_is_root);
   EXPECT_EQ(after.metadata().num_cnodes(), a.metadata().num_cnodes());
+}
+
+// Every operator — the statistics reductions included — records its
+// integration and severity phases as children of its own operator span
+// (docs/OBSERVABILITY.md).
+TEST_F(ObsIntegrationTest, EveryOperatorRecordsItsPhaseSpans) {
+  const Experiment a = make_small(StorageKind::Dense, "a");
+  const Experiment b = make_variant(StorageKind::Sparse, "b");
+  const std::vector<const Experiment*> ops = {&a, &b};
+  const std::vector<
+      std::pair<std::string, std::function<Experiment()>>>
+      operators = {
+          {"operator.diff", [&] { return difference(a, b); }},
+          {"operator.merge", [&] { return merge(a, b); }},
+          {"operator.mean", [&] { return mean(ops); }},
+          {"operator.min", [&] { return minimum(ops); }},
+          {"operator.max", [&] { return maximum(ops); }},
+          {"operator.stddev", [&] { return stddev(ops); }},
+          {"operator.variation", [&] { return variation(ops); }},
+      };
+  for (const auto& [span, run] : operators) {
+    SCOPED_TRACE(span);
+    obs::Tracer::instance().reset();
+    obs::enable_tracing();
+    (void)run();
+    obs::disable_tracing();
+    bool integrate = false;
+    bool severity = false;
+    for (const auto& snap : obs::Tracer::instance().snapshot()) {
+      for (const auto& rec : snap.spans) {
+        if (rec.parent == obs::kNoParent ||
+            span != snap.spans[rec.parent].name) {
+          continue;
+        }
+        const std::string name = rec.name;
+        integrate = integrate || name == "phase.integrate";
+        severity = severity || name == "phase.severity";
+      }
+    }
+    EXPECT_TRUE(integrate);
+    EXPECT_TRUE(severity);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -95,6 +96,46 @@ Experiment make_sparse_variant(const std::string& name,
                      static_cast<CnodeIndex>(cell / 6 % 4),
                      static_cast<ThreadIndex>(cell % 6),
                      2.0 + static_cast<double>(i));
+  }
+  return e;
+}
+
+/// small_metadata's shape with main calling io from two call sites:
+/// integration folds the sibling io cnodes into one, so the operand's
+/// cnode mapping coalesces source cells (5 cnodes -> 4).  Every cell is
+/// filled, shifted by `salt`.
+Experiment make_duplicate_callee(const std::string& name, double salt) {
+  auto md = std::make_unique<Metadata>();
+  const Metric& time =
+      md->add_metric(nullptr, "time", "Time", Unit::Seconds, "total");
+  md->add_metric(&time, "mpi", "MPI", Unit::Seconds, "mpi time");
+  md->add_metric(nullptr, "visits", "Visits", Unit::Occurrences, "visits");
+  const Region& r_main = md->add_region("main", "app.c", 1, 100);
+  const Region& r_work = md->add_region("work", "app.c", 10, 50);
+  const Region& r_send = md->add_region("MPI_Send", "mpi", -1, -1);
+  const Region& r_io = md->add_region("io", "app.c", 60, 80);
+  const Cnode& c_main = md->add_cnode_for_region(nullptr, r_main, "app.c", 1);
+  const Cnode& c_work = md->add_cnode_for_region(&c_main, r_work, "app.c", 12);
+  md->add_cnode_for_region(&c_work, r_send, "app.c", 30);
+  md->add_cnode_for_region(&c_main, r_io, "app.c", 62);
+  md->add_cnode_for_region(&c_main, r_io, "app.c", 70);
+  Machine& machine = md->add_machine("m0");
+  SysNode& node = md->add_node(machine, "n0");
+  for (long rank = 0; rank < 2; ++rank) {
+    Process& p = md->add_process(node, "rank " + std::to_string(rank), rank);
+    md->add_thread(p, "thread 0", 0);
+    md->add_thread(p, "thread 1", 1);
+  }
+  Experiment e(std::move(md), StorageKind::Dense);
+  e.set_name(name);
+  const Metadata& m = e.metadata();
+  for (MetricIndex mi = 0; mi < m.num_metrics(); ++mi) {
+    for (CnodeIndex ci = 0; ci < m.num_cnodes(); ++ci) {
+      for (ThreadIndex ti = 0; ti < m.num_threads(); ++ti) {
+        e.severity().set(mi, ci, ti, salt + 0.1 * (mi + 1) + 0.01 * (ci + 1) +
+                                         0.001 * (ti + 1));
+      }
+    }
   }
   return e;
 }
@@ -314,6 +355,39 @@ TEST_F(PlanAnalyzeTest, SparseRemapPredictionsCountMappedNonZeros) {
             analysis.cold.cells_traversed)
       << "differing metadata over kept-sparse stores must take the sparse "
          "remap kernel";
+}
+
+TEST_F(PlanAnalyzeTest, CoalescingMappingPredictionsAreExact) {
+  // Operands whose sibling call paths share a callee integrate through a
+  // coalescing cnode mapping: the linear combinations scatter those
+  // operands row by row, the folds gather them, and both walk the same
+  // tile grid the analyzer replicates.
+  repo_->store(make_duplicate_callee("d1", 1.0));
+  repo_->store(make_duplicate_callee("d2", 2.0));
+  repo_->store(make_small(StorageKind::Dense, "small"));
+
+  for (const std::string query :
+       {"mean(d1, d2)", "diff(d1, small)", "max(d1, d2, small)"}) {
+    SCOPED_TRACE(query);
+    const QueryPlan plan = make_plan(query);
+    DiagnosticSink sink;
+    AnalyzeOptions options;
+    options.use_cache = false;
+    const PlanAnalysis analysis = analyze(plan, sink, options);
+    EXPECT_TRUE(analysis.compatible);
+    EXPECT_TRUE(analysis.exact);
+    EXPECT_EQ(analysis.nodes[plan.root].cnodes, 4u)
+        << "the two io call sites fold into one cnode";
+
+    QueryOptions run_options;
+    run_options.threads = 1;
+    run_options.use_cache = false;
+    run_options.store_derived = false;
+    QueryEngine engine(*repo_, run_options);
+    const QueryResult result = engine.run(query);
+    EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
+    EXPECT_GT(result.stats.kernel_remap_dense_cells, 0u);
+  }
 }
 
 TEST_F(PlanAnalyzeTest, DensifiedSparseOperandsSweepLikeDense) {

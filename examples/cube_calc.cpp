@@ -19,8 +19,8 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "binding_util.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "io/cube_format.hpp"
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string expr = argv[1];
-  std::vector<std::pair<std::string, std::string>> inputs;
+  cube::cli::FileBindings bindings;
   std::optional<std::string> output;
   std::size_t hotspot_count = 10;
   cube::cli::ObsOptions obs;
@@ -55,41 +55,13 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        inputs.emplace_back("exp" + std::to_string(inputs.size() + 1), arg);
-      } else {
-        inputs.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-      }
-    }
-  }
-
-  // Reject duplicate bindings instead of silently letting the later file
-  // shadow the earlier one.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    for (std::size_t j = i + 1; j < inputs.size(); ++j) {
-      if (inputs[i].first == inputs[j].first) {
-        std::cerr << "error: duplicate binding '" << inputs[i].first
-                  << "': bound to '" << inputs[i].second << "' and to '"
-                  << inputs[j].second << "'\n";
-        return 1;
-      }
+      bindings.add(arg);
     }
   }
 
   obs.begin();
   try {
-    std::vector<cube::Experiment> loaded;
-    loaded.reserve(inputs.size());
-    cube::ExperimentEnv env;
-    for (const auto& [name, path] : inputs) {
-      loaded.push_back(cube::read_experiment_file(path));
-      if (loaded.back().name().empty()) loaded.back().set_name(name);
-    }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      env[inputs[i].first] = &loaded[i];
-    }
-
+    const cube::query::ExperimentEnv env = bindings.load();
     const cube::Experiment result =
         cube::query::eval_query_with_env(expr, env);
     std::cout << "evaluated: " << expr << "\n"

@@ -52,6 +52,7 @@
 #include <optional>
 #include <string>
 
+#include "algebra/operators.hpp"
 #include "algebra/simd.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -62,13 +63,13 @@
 #include "obs_util.hpp"
 #include "query/analyze.hpp"
 #include "query/engine.hpp"
-#include "query/plan_lint.hpp"
 #include "report_util.hpp"
 
 namespace {
 
-void print_stats(const cube::query::QueryStats& s, std::size_t run,
+void print_stats(const cube::query::QueryResult& result, std::size_t run,
                  std::size_t runs, bool verbose) {
+  const cube::query::QueryStats& s = result.stats;
   std::cout << "run " << run + 1 << "/" << runs << ": " << s.plan_nodes
             << " plan nodes (" << s.cse_reused << " reused by CSE), "
             << s.nodes_executed << " executed, " << s.operands_loaded
@@ -83,15 +84,19 @@ void print_stats(const cube::query::QueryStats& s, std::size_t run,
             << " ms summed over tasks), total "
             << cube::format_value(s.total_ms, 2) << " ms\n";
   if (verbose) {
-    std::cout << "  kernels: " << s.kernel_applications
-              << " bulk operator applications, " << s.kernel_chunks
+    namespace kc = cube::kernel_counters;
+    const auto counter = [&](const char* name) {
+      return cube::obs::counter_value(result.metrics, name);
+    };
+    std::cout << "  kernels: " << counter(kc::kApplications)
+              << " bulk operator applications, " << counter(kc::kChunks)
               << " cell chunks; identity-dense "
-              << s.kernel_identity_dense_cells << " cells, remap-dense "
-              << s.kernel_remap_dense_cells << " cells, identity-sparse "
-              << s.kernel_identity_sparse_nnz << " nnz, remap-sparse "
-              << s.kernel_remap_sparse_nnz << " nnz\n"
-              << "  batch: " << s.kernel_batch_tiles << " SoA tiles, width "
-              << s.kernel_batch_width << " (simd "
+              << counter(kc::kIdentityDenseCells) << " cells, remap-dense "
+              << counter(kc::kRemapDenseCells) << " cells, identity-sparse "
+              << counter(kc::kIdentitySparseNnz) << " nnz, remap-sparse "
+              << counter(kc::kRemapSparseNnz) << " nnz\n"
+              << "  batch: " << counter(kc::kBatchTiles) << " SoA tiles, width "
+              << counter(kc::kBatchWidth) << " (simd "
               << cube::simd::backend_name(cube::simd::active_backend())
               << ")\n";
   }
@@ -314,7 +319,7 @@ int main(int argc, char** argv) {
     std::optional<cube::query::QueryResult> last;
     for (std::size_t run = 0; run < repeat; ++run) {
       last = engine.run(expr);
-      print_stats(last->stats, run, repeat, verbose);
+      print_stats(*last, run, repeat, verbose);
     }
 
     std::cout << "query:     " << expr << "\n"

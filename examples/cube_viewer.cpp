@@ -5,7 +5,8 @@
 //               [--color] [--batch CMD ';' CMD ...]
 //
 // With one file, the viewer browses it directly.  With several named files
-// plus --expr, it first evaluates a composite-operator expression such as
+// plus --expr, it first evaluates a query expression (the grammar of
+// cube_calc and cube_query, without repository selectors) such as
 //
 //   cube_viewer a=run1.cube b=run2.cube c=opt.cube
 //       --expr 'diff(mean(a, b), c)'
@@ -19,11 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "algebra/composite.hpp"
+#include "binding_util.hpp"
 #include "common/error.hpp"
 #include "display/browser.hpp"
 #include "display/html.hpp"
-#include "io/cube_format.hpp"
+#include "query/query_expr.hpp"
 
 namespace {
 
@@ -36,7 +37,7 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::pair<std::string, std::string>> inputs;  // name -> path
+  cube::cli::FileBindings bindings;
   std::optional<std::string> expr;
   std::optional<std::string> batch;
   std::optional<std::string> html_path;
@@ -57,33 +58,19 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     } else {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        inputs.emplace_back("exp" + std::to_string(inputs.size() + 1), arg);
-      } else {
-        inputs.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-      }
+      bindings.add(arg);
     }
   }
-  if (inputs.empty()) {
+  if (bindings.empty()) {
     usage();
     return 1;
   }
 
   try {
-    std::vector<cube::Experiment> loaded;
-    loaded.reserve(inputs.size());
-    cube::ExperimentEnv env;
-    for (const auto& [name, path] : inputs) {
-      loaded.push_back(cube::read_experiment_file(path));
-      if (loaded.back().name().empty()) loaded.back().set_name(name);
-    }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      env[inputs[i].first] = &loaded[i];
-    }
-
+    const cube::query::ExperimentEnv env = bindings.load();
     const cube::Experiment subject =
-        expr ? cube::eval_expr(*expr, env) : loaded[0].clone();
+        expr ? cube::query::eval_query_with_env(*expr, env)
+             : bindings.front().clone();
 
     cube::Browser browser(subject, render);
     std::cout << browser.render() << "\n";

@@ -10,6 +10,7 @@
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
+#include "io/file_write.hpp"
 #include "io/xml_parser.hpp"
 #include "io/xml_writer.hpp"
 
@@ -29,32 +30,6 @@ constexpr const char* kManifestHeader = "cube-repo-manifest 1";
   std::ostringstream buf;
   buf << in.rdbuf();
   return std::move(buf).str();
-}
-
-void write_file_atomic(const std::filesystem::path& target,
-                       std::string_view bytes) {
-  const std::filesystem::path temp = target.string() + ".tmp";
-  {
-    std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      throw IoError("cannot write '" + temp.string() + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code cleanup;
-      std::filesystem::remove(temp, cleanup);
-      throw IoError("write to '" + temp.string() + "' failed");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, target, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(temp, cleanup);
-    throw IoError("cannot replace '" + target.string() + "': " +
-                  ec.message());
-  }
 }
 
 /// "seg-NNNNNN.log" -> NNNNNN, or 0 if the name does not match.
@@ -176,12 +151,7 @@ void SegmentedIndex::create() {
     throw Error("segmented index already exists in '" + dir.string() + "'");
   }
   const std::string first = segment_name_for(1);
-  {
-    std::ofstream seg(segment_path(first), std::ios::trunc | std::ios::binary);
-    if (!seg) {
-      throw IoError("cannot create segment '" + first + "'");
-    }
-  }
+  write_bytes(segment_path(first), "");
   names_ = {first};
   segments_ = {SegmentState{first, 0, 0, false}};
   records_total_ = 0;
@@ -216,7 +186,7 @@ void SegmentedIndex::write_manifest(const std::vector<std::string>& names) {
     bytes += name;
     bytes += '\n';
   }
-  write_file_atomic(index_dir() / kManifestName, bytes);
+  replace_file(index_dir() / kManifestName, bytes);
   names_ = names;
   manifest_digest_ = fnv1a(bytes);
 }
@@ -398,12 +368,7 @@ std::string SegmentedIndex::next_segment_name() const {
 
 void SegmentedIndex::seal_active() {
   const std::string fresh = next_segment_name();
-  {
-    std::ofstream seg(segment_path(fresh), std::ios::trunc | std::ios::binary);
-    if (!seg) {
-      throw IoError("cannot create segment '" + fresh + "'");
-    }
-  }
+  write_bytes(segment_path(fresh), "");
   std::vector<std::string> names = names_;
   names.push_back(fresh);
   segments_.push_back(SegmentState{fresh, 0, 0, false});
@@ -458,13 +423,8 @@ SegmentedIndex::CompactResult SegmentedIndex::compact(EntryTable& live) {
     body += frame_record(render_entry_record(entry));
     ++body_records;
   }
-  write_file_atomic(segment_path(compacted), body);
-  {
-    std::ofstream seg(segment_path(fresh), std::ios::trunc | std::ios::binary);
-    if (!seg) {
-      throw IoError("cannot create segment '" + fresh + "'");
-    }
-  }
+  replace_file(segment_path(compacted), body);
+  write_bytes(segment_path(fresh), "");
   const std::vector<std::string> old = names_;
   write_manifest({compacted, fresh});  // the commit point
   for (const std::string& name : old) {

@@ -11,6 +11,7 @@
 #include "common/string_util.hpp"
 #include "io/binary_format.hpp"
 #include "io/cube_format.hpp"
+#include "io/file_write.hpp"
 #include "io/xml_parser.hpp"
 #include "io/xml_writer.hpp"
 #include "obs/metrics.hpp"
@@ -92,36 +93,6 @@ void ensure_parent_dir(const std::filesystem::path& file) {
   if (ec) {
     throw IoError("cannot create directory '" + dir.string() +
                   "': " + ec.message());
-  }
-}
-
-/// Writes `bytes` to `path`, truncating it; throws IoError on failure.
-void write_bytes(const std::filesystem::path& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::trunc | std::ios::binary);
-  if (!out) throw IoError("cannot create file '" + path.string() + "'");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) throw IoError("write to '" + path.string() + "' failed");
-}
-
-/// Atomically replaces `target` with `bytes`: writes <target>.tmp and
-/// renames it over `target`, so a crash at any point leaves either the
-/// old or the new file intact, never a torn one.
-void replace_file(const std::filesystem::path& target,
-                  std::string_view bytes) {
-  const std::filesystem::path temp = target.string() + ".tmp";
-  std::error_code ec;
-  try {
-    write_bytes(temp, bytes);
-  } catch (const IoError&) {
-    std::filesystem::remove(temp, ec);
-    throw;
-  }
-  std::filesystem::rename(temp, target, ec);
-  if (ec) {
-    const std::string reason = ec.message();
-    std::filesystem::remove(temp, ec);
-    throw IoError("cannot replace '" + target.string() + "': " + reason);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
@@ -344,6 +345,15 @@ MetricsRegistry& MetricsRegistry::global() {
   // instrumentation sites cache references resolved during static-init-
   // order-unknown moments and may fire from detached threads at exit.
   return *registry;
+}
+
+std::uint64_t counter_value(const std::vector<MetricSample>& samples,
+                            std::string_view name) {
+  const auto it = std::lower_bound(
+      samples.begin(), samples.end(), name,
+      [](const MetricSample& s, std::string_view n) { return s.name < n; });
+  if (it == samples.end() || it->name != name) return 0;
+  return static_cast<std::uint64_t>(it->value);
 }
 
 void write_metrics_report(std::ostream& out,

@@ -1,9 +1,8 @@
 // MetricsRegistry: named counters, gauges, and histograms for the
 // library's own execution statistics (docs/OBSERVABILITY.md).
 //
-// One typed registry replaces the ad-hoc per-subsystem counter structs
-// (the old cube::KernelStats and the hand-copied kernel fields of
-// QueryStats): an instrument is addressed by a stable dotted name
+// One typed registry replaces ad-hoc per-subsystem counter structs: an
+// instrument is addressed by a stable dotted name
 // ("algebra.kernel.chunks", "io.xml.bytes_read", "pool.queue_wait") plus
 // a unit, resolved once, and then updated with relaxed atomics — safe to
 // hit from operator chunks and pool workers concurrently.
@@ -14,8 +13,8 @@
 //    the self-profile exporter;
 //  * short-lived local registries for per-run isolation — the query
 //    engine records one run's kernel counters into a local registry,
-//    copies them into its QueryStats, and absorb()s them into the global
-//    one.
+//    hands its snapshot() out with the QueryResult, and absorb()s it into
+//    the global one.
 //
 // This layer sits below cube_common (the thread pool is instrumented), so
 // it depends on the standard library only.
@@ -226,6 +225,11 @@ class MetricsRegistry {
   /// Ordered map: snapshot order == name order, deterministically.
   std::map<std::string, std::unique_ptr<Instrument>, std::less<>> entries_;
 };
+
+/// The value of counter `name` in a snapshot(); 0 if it was never
+/// registered.
+[[nodiscard]] std::uint64_t counter_value(
+    const std::vector<MetricSample>& samples, std::string_view name);
 
 /// Writes a plain-text table of every instrument (the metrics half of the
 /// --stats report).

@@ -12,7 +12,6 @@
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "model/metric.hpp"
-#include "query/plan_lint.hpp"
 
 namespace cube::query {
 
@@ -431,6 +430,91 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
 
   if (options.run_plan_lint) lint_plan(plan, sink);
   return analysis;
+}
+
+// --- plan-shape advisories ----------------------------------------------
+
+namespace {
+
+bool foldable_op(QueryExpr::Op op) noexcept {
+  return op == QueryExpr::Op::Mean || op == QueryExpr::Op::Min ||
+         op == QueryExpr::Op::Max;
+}
+
+/// Collects the leaves of the maximal same-op chain rooted at `index`:
+/// children that apply the same operator are descended into, everything
+/// else is a chain leaf.  Returns false if any leaf is not a plain load
+/// (a different operator application feeds the chain — flattening would
+/// change what gets cached, so we stay quiet).
+bool collect_chain(const QueryPlan& plan, std::size_t index, QueryExpr::Op op,
+                   std::vector<std::size_t>& leaves, std::size_t& depth,
+                   std::size_t level) {
+  depth = std::max(depth, level);
+  for (std::size_t arg : plan.nodes[index].args) {
+    const PlanNode& child = plan.nodes[arg];
+    if (child.kind == PlanNode::Kind::Apply && child.op == op) {
+      if (!collect_chain(plan, arg, op, leaves, depth, level + 1)) {
+        return false;
+      }
+    } else if (child.kind == PlanNode::Kind::Load) {
+      leaves.push_back(arg);
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+void lint_plan(const QueryPlan& plan, lint::DiagnosticSink& sink) {
+  // A node is a chain ROOT if no parent applies the same operator; only
+  // roots report, so one nested chain yields one finding.
+  std::vector<bool> same_op_child(plan.nodes.size(), false);
+  for (const PlanNode& node : plan.nodes) {
+    if (node.kind != PlanNode::Kind::Apply || !foldable_op(node.op)) continue;
+    for (std::size_t arg : node.args) {
+      const PlanNode& child = plan.nodes[arg];
+      if (child.kind == PlanNode::Kind::Apply && child.op == node.op) {
+        same_op_child[arg] = true;
+      }
+    }
+  }
+
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const PlanNode& node = plan.nodes[i];
+    if (node.kind != PlanNode::Kind::Apply || !foldable_op(node.op)) continue;
+    if (same_op_child[i]) continue;
+
+    std::vector<std::size_t> leaves;
+    std::size_t depth = 0;
+    if (!collect_chain(plan, i, node.op, leaves, depth, 0)) continue;
+    if (depth == 0 || leaves.size() < 3) continue;  // not a nested chain
+
+    // The advisory only holds when the whole series shares one metadata
+    // blob: that is what lets the engine integrate once and fold the
+    // severity phase in a single batched sweep.
+    const std::uint64_t digest = plan.nodes[leaves.front()].operand.meta_digest;
+    if (digest == 0) continue;  // legacy inline metadata — unknowable
+    bool uniform = true;
+    for (std::size_t leaf : leaves) {
+      if (plan.nodes[leaf].operand.meta_digest != digest) {
+        uniform = false;
+        break;
+      }
+    }
+    if (!uniform) continue;
+
+    sink.note(
+        "perf.series-foldable", plan.nodes[i].canonical,
+        "nested " + std::string(op_name(node.op)) + " chain folds " +
+            std::to_string(leaves.size()) +
+            " operands with identical metadata through " +
+            std::to_string(depth + 1) + " applications",
+        "flatten into one n-ary " + std::string(op_name(node.op)) +
+            "(...) so the engine integrates once and reduces the series in "
+            "a single batched sweep");
+  }
 }
 
 }  // namespace cube::query

@@ -29,9 +29,16 @@
 //   cost.over-budget        error    predicted peak resident bytes exceed
 //                                    AnalyzeOptions::budget_bytes
 //   cost.summary            note     one-line cold/warm cost totals
+//   perf.series-foldable    note     a nested chain of one Mean/Min/Max
+//                                    over >= 3 loads sharing one metadata
+//                                    digest: one n-ary application would
+//                                    integrate once and fold the series
+//                                    in ONE batched sweep (docs/KERNELS.md)
 //
-// Locations are canonical sub-expressions (like plan_lint), so findings
-// read without the plan at hand.
+// The perf.* family (lint_plan, docs/LINT.md) checks EFFICIENCY, not
+// validity: the plan runs and the result is identical either way.
+// Locations are canonical sub-expressions, so findings read without the
+// plan at hand.
 #pragma once
 
 #include <cstdint>
@@ -143,5 +150,10 @@ struct PlanAnalysis {
                                         const ExperimentRepository& repo,
                                         lint::DiagnosticSink& sink,
                                         const AnalyzeOptions& options = {});
+
+/// Runs the plan-shape advisories over `plan`, reporting into `sink`
+/// (analyze_plan includes them unless AnalyzeOptions::run_plan_lint is
+/// off).
+void lint_plan(const QueryPlan& plan, lint::DiagnosticSink& sink);
 
 }  // namespace cube::query

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "common/digest.hpp"
@@ -48,25 +47,6 @@ Experiment read_stored(const ExperimentRepository& repo,
   Experiment experiment = repo.load_path(file.path, file.format);
   if (validate) lint::require_valid(experiment, file.path.string());
   return experiment;
-}
-
-Experiment apply_op(QueryExpr::Op op,
-                    const std::vector<const Experiment*>& operands,
-                    const OperatorOptions& options) {
-  const std::span<const Experiment* const> span(operands);
-  switch (op) {
-    case QueryExpr::Op::Diff:
-      return difference(*operands[0], *operands[1], options);
-    case QueryExpr::Op::Merge:
-      return merge(*operands[0], *operands[1], options);
-    case QueryExpr::Op::Mean:
-      return mean(span, options);
-    case QueryExpr::Op::Min:
-      return minimum(span, options);
-    case QueryExpr::Op::Max:
-      return maximum(span, options);
-  }
-  throw OperationError("unreachable query op");
 }
 
 /// How the executor handles one plan node.
@@ -244,7 +224,7 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         for (const std::size_t child : node.args) {
           operands.push_back(results[child].get());
         }
-        Experiment out = apply_op(node.op, operands, op_options);
+        Experiment out = apply_query_op(node.op, operands, op_options);
         if (options_.store_derived) {
           // The result self-describes its cache identity; the attributes
           // travel into the repository index, where the next plan's
@@ -352,22 +332,6 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
 
   stats.exec_ms = ms_since(t_exec);
   stats.total_ms = ms_since(t_total);
-  stats.kernel_identity_dense_cells =
-      run_metrics.counter(kernel_counters::kIdentityDenseCells).value();
-  stats.kernel_remap_dense_cells =
-      run_metrics.counter(kernel_counters::kRemapDenseCells).value();
-  stats.kernel_identity_sparse_nnz =
-      run_metrics.counter(kernel_counters::kIdentitySparseNnz).value();
-  stats.kernel_remap_sparse_nnz =
-      run_metrics.counter(kernel_counters::kRemapSparseNnz).value();
-  stats.kernel_chunks = run_metrics.counter(kernel_counters::kChunks).value();
-  stats.kernel_applications =
-      run_metrics.counter(kernel_counters::kApplications).value();
-  stats.kernel_batch_tiles =
-      run_metrics.counter(kernel_counters::kBatchTiles).value();
-  stats.kernel_batch_width =
-      run_metrics.counter(kernel_counters::kBatchWidth).value();
-
   // Feed the process-wide registry: the run's kernel counters plus the
   // engine's own tallies, under stable query.* names.
   run_metrics.counter("query.runs").add(1);
@@ -383,7 +347,8 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
   results.clear();
   QueryResult result{root.use_count() == 1 ? std::move(*root)
                                            : root->clone(),
-                     stats, plan.nodes[plan.root].canonical};
+                     stats, plan.nodes[plan.root].canonical,
+                     run_metrics.snapshot()};
   return result;
 }
 

@@ -23,9 +23,11 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "io/repository.hpp"
+#include "obs/metrics.hpp"
 #include "query/planner.hpp"
 #include "query/query_expr.hpp"
 
@@ -59,19 +61,6 @@ struct QueryStats {
   std::size_t cache_misses = 0;    ///< cacheable nodes that were computed
   std::uintmax_t bytes_loaded = 0; ///< file bytes read (operands + hits)
   std::size_t threads_used = 1;
-  // Bulk severity-kernel path counters summed over all operator
-  // applications of the run (see cube::kernel_counters / docs/STORAGE.md):
-  // which kernel fired (identity vs remap x dense vs sparse operand) and
-  // how much data it touched (cells vs non-zeros).  Copied out of the
-  // run's local obs::MetricsRegistry after execution.
-  std::uint64_t kernel_identity_dense_cells = 0;
-  std::uint64_t kernel_remap_dense_cells = 0;
-  std::uint64_t kernel_identity_sparse_nnz = 0;
-  std::uint64_t kernel_remap_sparse_nnz = 0;
-  std::uint64_t kernel_chunks = 0;        ///< cell chunks executed
-  std::uint64_t kernel_applications = 0;  ///< ops through the bulk path
-  std::uint64_t kernel_batch_tiles = 0;   ///< SoA tiles staged + reduced
-  std::uint64_t kernel_batch_width = 0;   ///< sum of batched operand counts
   // Wall time per stage.  plan/exec/total are end-to-end; load/eval are
   // summed across concurrent tasks (they can exceed exec_ms).
   double plan_ms = 0.0;
@@ -85,6 +74,9 @@ struct QueryResult {
   Experiment experiment;
   QueryStats stats;
   std::string canonical;  ///< canonical root expression over resolved ids
+  /// The run's own metrics registry: the severity-kernel counters of its
+  /// operator applications (cube::kernel_counters) and the query.* tallies.
+  std::vector<obs::MetricSample> metrics;
 };
 
 /// Evaluates queries against a repository.  One engine may serve MANY

@@ -84,18 +84,7 @@ class Planner {
       const std::vector<std::size_t> sub = plan_node(*arg);
       operands.insert(operands.end(), sub.begin(), sub.end());
     }
-    const bool binary = expr.op() == QueryExpr::Op::Diff ||
-                        expr.op() == QueryExpr::Op::Merge;
-    if (binary && operands.size() != 2) {
-      throw OperationError(
-          std::string(op_name(expr.op())) + " expects 2 operands, got " +
-          std::to_string(operands.size()) + " after selector expansion in " +
-          expr.str());
-    }
-    if (operands.empty()) {
-      throw OperationError(std::string(op_name(expr.op())) +
-                           " expects >= 1 operand in " + expr.str());
-    }
+    check_arity(expr, operands.size());
 
     std::string canonical = op_name(expr.op());
     canonical += '(';

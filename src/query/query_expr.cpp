@@ -103,44 +103,47 @@ std::string QueryExpr::str() const {
   return "?";
 }
 
-std::unique_ptr<Expr> QueryExpr::to_composite() const {
-  switch (kind_) {
-    case Kind::Ref:
-      return Expr::load(name_);
-    case Kind::Id:
-    case Kind::Attr:
-    case Kind::Series:
-      throw OperationError("selector " + str() +
-                           " requires a repository to resolve; evaluate it "
-                           "with the query engine (cube_query --repo)");
-    case Kind::Apply: {
-      std::vector<std::unique_ptr<Expr>> lowered;
-      lowered.reserve(args_.size());
-      for (const auto& arg : args_) lowered.push_back(arg->to_composite());
-      Expr::Op op;
-      switch (op_) {
-        case Op::Diff: op = Expr::Op::Diff; break;
-        case Op::Merge: op = Expr::Op::Merge; break;
-        case Op::Mean: op = Expr::Op::Mean; break;
-        case Op::Min: op = Expr::Op::Min; break;
-        case Op::Max: op = Expr::Op::Max; break;
-        default: throw OperationError("unreachable query op");
-      }
-      return Expr::apply(op, std::move(lowered));
-    }
+void check_arity(const QueryExpr& expr, std::size_t operands) {
+  const bool binary =
+      expr.op() == QueryExpr::Op::Diff || expr.op() == QueryExpr::Op::Merge;
+  if (binary && operands != 2) {
+    throw OperationError(std::string(op_name(expr.op())) +
+                         " expects 2 operands, got " +
+                         std::to_string(operands) + " in " + expr.str());
   }
-  throw OperationError("unreachable query expression kind");
+  if (operands == 0) {
+    throw OperationError(std::string(op_name(expr.op())) +
+                         " expects >= 1 operand in " + expr.str());
+  }
+}
+
+Experiment apply_query_op(QueryExpr::Op op,
+                          std::span<const Experiment* const> operands,
+                          const OperatorOptions& options) {
+  switch (op) {
+    case QueryExpr::Op::Diff:
+      return difference(*operands[0], *operands[1], options);
+    case QueryExpr::Op::Merge:
+      return merge(*operands[0], *operands[1], options);
+    case QueryExpr::Op::Mean:
+      return mean(operands, options);
+    case QueryExpr::Op::Min:
+      return minimum(operands, options);
+    case QueryExpr::Op::Max:
+      return maximum(operands, options);
+  }
+  throw OperationError("unreachable query op");
 }
 
 namespace {
 
-/// Recursive-descent parser; a superset of algebra/composite's grammar.
+/// Recursive-descent parser for the grammar in query_expr.hpp.
 class QueryParser {
  public:
   explicit QueryParser(std::string_view text) : text_(text) {}
 
   std::unique_ptr<QueryExpr> parse() {
-    auto e = parse_expr();
+    auto e = parse_node();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing input after expression");
     return e;
@@ -224,7 +227,7 @@ class QueryParser {
                          : QueryExpr::series(std::move(value));
   }
 
-  std::unique_ptr<QueryExpr> parse_expr() {
+  std::unique_ptr<QueryExpr> parse_node() {
     const std::string ident = parse_ident();
     skip_ws();
     if (pos_ >= text_.size() || text_[pos_] != '(') {
@@ -254,7 +257,7 @@ class QueryParser {
       fail("operator '" + ident + "' requires arguments");
     }
     while (true) {
-      args.push_back(parse_expr());
+      args.push_back(parse_node());
       skip_ws();
       if (pos_ >= text_.size()) fail("unterminated argument list");
       if (text_[pos_] == ',') {
@@ -280,10 +283,56 @@ std::unique_ptr<QueryExpr> parse_query(std::string_view text) {
   return QueryParser(text).parse();
 }
 
+namespace {
+
+[[noreturn]] void reject_selector(const QueryExpr& expr) {
+  throw OperationError("selector " + expr.str() +
+                       " requires a repository to resolve; evaluate it "
+                       "with the query engine (cube_query --repo)");
+}
+
+const Experiment& lookup(const QueryExpr& ref, const ExperimentEnv& env) {
+  const auto it = env.find(ref.name());
+  if (it == env.end() || it->second == nullptr) {
+    throw OperationError("unbound experiment name '" + ref.name() + "'");
+  }
+  return *it->second;
+}
+
+/// Evaluates an Apply node bottom-up; leaves are borrowed from `env`.
+Experiment eval_apply(const QueryExpr& expr, const ExperimentEnv& env,
+                      const OperatorOptions& options) {
+  check_arity(expr, expr.args().size());
+  std::vector<Experiment> computed;
+  computed.reserve(expr.args().size());  // keeps operand pointers stable
+  std::vector<const Experiment*> operands;
+  for (const auto& arg : expr.args()) {
+    if (arg->kind() == QueryExpr::Kind::Ref) {
+      operands.push_back(&lookup(*arg, env));
+    } else if (arg->kind() == QueryExpr::Kind::Apply) {
+      computed.push_back(eval_apply(*arg, env, options));
+      operands.push_back(&computed.back());
+    } else {
+      reject_selector(*arg);
+    }
+  }
+  return apply_query_op(expr.op(), operands, options);
+}
+
+}  // namespace
+
 Experiment eval_query_with_env(std::string_view text,
                                const ExperimentEnv& env,
                                const OperatorOptions& options) {
-  return parse_query(text)->to_composite()->eval(env, options);
+  const std::unique_ptr<QueryExpr> expr = parse_query(text);
+  switch (expr->kind()) {
+    case QueryExpr::Kind::Ref:
+      return lookup(*expr, env).clone();
+    case QueryExpr::Kind::Apply:
+      return eval_apply(*expr, env, options);
+    default:
+      reject_selector(*expr);
+  }
 }
 
 }  // namespace cube::query

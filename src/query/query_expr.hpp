@@ -1,11 +1,14 @@
-// Query expressions: the algebra's composite-expression grammar extended
-// with repository SELECTORS, so a query is self-contained — it names the
-// stored experiments it operates on instead of relying on a caller-built
+// Query expressions: the one expression language of the algebra.
+// Because every operator maps back into the space of valid experiments, a
+// user can "easily define composite operations, for example, in order to
+// compute the difference of averaged data" (paper §1).  Beyond plain
+// names, a query may use repository SELECTORS, so it names the stored
+// experiments it operates on instead of relying on a caller-built
 // environment:
 //
 //     diff(mean(attr(run=before)), mean(attr(run=after)))
 //
-// Grammar (a superset of algebra/composite's grammar):
+// Grammar:
 //
 //     expr     := func '(' expr (',' expr)* ')' | selector | ident
 //     func     := "diff" | "difference" | "merge"
@@ -18,23 +21,29 @@
 //     ident    := [A-Za-z_][A-Za-z0-9_.-]*
 //     bareword := [A-Za-z0-9_.:+-]+
 //
-// A bare ident leaf is an environment reference (cube_calc's name=file
-// bindings); against a repository it resolves like id(ident).  Selectors
-// resolve to LISTS of stored experiments: a list splices into the
-// argument list of the n-ary reductions (mean/min/max), while positions
-// requiring exactly one experiment (diff/merge operands, the query root)
-// reject empty or ambiguous matches.
+// A bare ident leaf is an environment reference (the name=file bindings of
+// cube_calc and cube_viewer); against a repository it resolves like
+// id(ident).  Selectors resolve to LISTS of stored experiments: a list
+// splices into the argument list of the n-ary reductions (mean/min/max),
+// while positions requiring exactly one experiment (diff/merge operands,
+// the query root) reject empty or ambiguous matches.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "algebra/composite.hpp"
+#include "algebra/operators.hpp"
+#include "model/experiment.hpp"
 
 namespace cube::query {
+
+/// Environment binding reference names to experiments.
+using ExperimentEnv = std::map<std::string, const Experiment*>;
 
 class QueryExpr {
  public:
@@ -69,11 +78,6 @@ class QueryExpr {
   /// Canonical textual rendering (values quoted only when necessary).
   [[nodiscard]] std::string str() const;
 
-  /// Lowers to the algebra's composite Expr for evaluation against an
-  /// ExperimentEnv (cube_calc's mode).  Throws OperationError if the tree
-  /// contains a selector — those need a repository to resolve.
-  [[nodiscard]] std::unique_ptr<Expr> to_composite() const;
-
  private:
   QueryExpr(Kind kind, Op op, std::string name,
             std::vector<std::pair<std::string, std::string>> pairs,
@@ -88,11 +92,22 @@ class QueryExpr {
 
 [[nodiscard]] const char* op_name(QueryExpr::Op op) noexcept;
 
+/// The arity rule: diff and merge take exactly 2 operands, the n-ary
+/// reductions at least 1.  Throws OperationError naming `expr` otherwise.
+void check_arity(const QueryExpr& expr, std::size_t operands);
+
+/// Applies `op` to operands that passed check_arity.
+[[nodiscard]] Experiment apply_query_op(
+    QueryExpr::Op op, std::span<const Experiment* const> operands,
+    const OperatorOptions& options);
+
 /// Parses the query grammar; throws cube::Error with offset information.
 [[nodiscard]] std::unique_ptr<QueryExpr> parse_query(std::string_view text);
 
-/// Parse + lower + eval against an environment (no repository): the
-/// composite pipeline with the extended parser.  Selector use throws.
+/// Parses and evaluates against an environment (no repository): leaves
+/// are passed to the operators in place, a bare-ref root is returned as a
+/// copy.  Throws OperationError on an unbound name, a wrong arity, or a
+/// selector — those need a repository to resolve.
 [[nodiscard]] Experiment eval_query_with_env(
     std::string_view text, const ExperimentEnv& env,
     const OperatorOptions& options = {});

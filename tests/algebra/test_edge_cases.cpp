@@ -1,9 +1,9 @@
 // Edge cases of integration and operators beyond the main suites.
 #include <gtest/gtest.h>
 
-#include "algebra/composite.hpp"
 #include "algebra/operators.hpp"
 #include "common/error.hpp"
+#include "query/query_expr.hpp"
 #include "testutil.hpp"
 
 namespace cube {
@@ -88,7 +88,8 @@ TEST(Composite, OptionsPropagateToOperators) {
   const Experiment a = make_small();
   OperatorOptions opts;
   opts.storage = StorageKind::Sparse;
-  const Experiment out = eval_expr("mean(a, a)", {{"a", &a}}, opts);
+  const Experiment out =
+      query::eval_query_with_env("mean(a, a)", {{"a", &a}}, opts);
   EXPECT_EQ(out.severity().kind(), StorageKind::Sparse);
 }
 

@@ -3,13 +3,13 @@
 // in miniature and assert the qualitative outcomes.
 #include <gtest/gtest.h>
 
-#include "algebra/composite.hpp"
 #include "algebra/operators.hpp"
 #include "cone/profiler.hpp"
 #include "display/browser.hpp"
 #include "expert/analyzer.hpp"
 #include "expert/patterns.hpp"
 #include "io/cube_format.hpp"
+#include "query/query_expr.hpp"
 #include "sim/apps/pescan.hpp"
 #include "sim/apps/sweep3d.hpp"
 #include "sim/engine.hpp"
@@ -143,9 +143,10 @@ TEST(Pipeline, MeanBeforeMergeComposite) {
     opts.run_seed = seed;
     reps.push_back(cone::profile_run(run, opts));
   }
-  const ExperimentEnv env{
+  const query::ExperimentEnv env{
       {"a", &reps[0]}, {"b", &reps[1]}, {"c", &reps[2]}};
-  const Experiment averaged = eval_expr("mean(a, b, c)", env);
+  const Experiment averaged =
+      query::eval_query_with_env("mean(a, b, c)", env);
   opts.jitter_sigma = 0.0;
   const Experiment truth = cone::profile_run(run, opts);
 

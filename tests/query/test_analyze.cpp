@@ -35,11 +35,18 @@ std::uint64_t sev_bytes_read() {
       .value();
 }
 
+/// One algebra.kernel.* counter of a run, read from its metrics snapshot.
+std::uint64_t kernel(const QueryResult& result, const char* name) {
+  return obs::counter_value(result.metrics, name);
+}
+
 /// Sum of the four severity-kernel cell counters of one run — the
 /// measured counterpart of CostEstimate::cells_traversed.
-std::uint64_t measured_cells(const QueryStats& stats) {
-  return stats.kernel_identity_dense_cells + stats.kernel_remap_dense_cells +
-         stats.kernel_identity_sparse_nnz + stats.kernel_remap_sparse_nnz;
+std::uint64_t measured_cells(const QueryResult& result) {
+  return kernel(result, kernel_counters::kIdentityDenseCells) +
+         kernel(result, kernel_counters::kRemapDenseCells) +
+         kernel(result, kernel_counters::kIdentitySparseNnz) +
+         kernel(result, kernel_counters::kRemapSparseNnz);
 }
 
 bool has_rule(const DiagnosticSink& sink, const std::string& rule) {
@@ -231,11 +238,11 @@ TEST_F(PlanAnalyzeTest, IdentityDensePredictionsAreExact) {
   EXPECT_EQ(analysis.cold.operands_loaded, result.stats.operands_loaded);
   EXPECT_EQ(analysis.cold.nodes_evaluated, result.stats.nodes_evaluated);
   EXPECT_EQ(analysis.cold.bytes_loaded, result.stats.bytes_loaded);
-  EXPECT_EQ(analysis.cold.cells_traversed, measured_cells(result.stats));
-  EXPECT_EQ(result.stats.kernel_identity_dense_cells,
+  EXPECT_EQ(analysis.cold.cells_traversed, measured_cells(result));
+  EXPECT_EQ(kernel(result, kernel_counters::kIdentityDenseCells),
             analysis.cold.cells_traversed)
       << "identical metadata must take the identity kernel";
-  EXPECT_EQ(result.stats.kernel_remap_dense_cells, 0u);
+  EXPECT_EQ(kernel(result, kernel_counters::kRemapDenseCells), 0u);
 }
 
 TEST_F(PlanAnalyzeTest, RemapPredictionsReplicateTheKernelGrid) {
@@ -275,8 +282,8 @@ TEST_F(PlanAnalyzeTest, RemapPredictionsReplicateTheKernelGrid) {
   run_options.store_derived = false;
   QueryEngine engine(*repo_, run_options);
   const QueryResult result = engine.run("mean(small, variant)");
-  EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
-  EXPECT_EQ(result.stats.kernel_remap_dense_cells,
+  EXPECT_EQ(measured_cells(result), analysis.cold.cells_traversed);
+  EXPECT_EQ(kernel(result, kernel_counters::kRemapDenseCells),
             analysis.cold.cells_traversed)
       << "differing metadata must take the remap kernel";
   EXPECT_EQ(analysis.cold.bytes_loaded, result.stats.bytes_loaded);
@@ -321,8 +328,8 @@ TEST_F(PlanAnalyzeTest, SparseColumnarPredictionsComeFromBlobHeaders) {
   run_options.store_derived = false;
   QueryEngine engine(*repo_, run_options);
   const QueryResult result = engine.run("diff(s1, s2)");
-  EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
-  EXPECT_EQ(result.stats.kernel_identity_sparse_nnz,
+  EXPECT_EQ(measured_cells(result), analysis.cold.cells_traversed);
+  EXPECT_EQ(kernel(result, kernel_counters::kIdentitySparseNnz),
             analysis.cold.cells_traversed)
       << "identical metadata over sparse stores must take the sparse "
          "identity kernel";
@@ -350,8 +357,8 @@ TEST_F(PlanAnalyzeTest, SparseRemapPredictionsCountMappedNonZeros) {
   run_options.store_derived = false;
   QueryEngine engine(*repo_, run_options);
   const QueryResult result = engine.run("mean(s, v)");
-  EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
-  EXPECT_EQ(result.stats.kernel_remap_sparse_nnz,
+  EXPECT_EQ(measured_cells(result), analysis.cold.cells_traversed);
+  EXPECT_EQ(kernel(result, kernel_counters::kRemapSparseNnz),
             analysis.cold.cells_traversed)
       << "differing metadata over kept-sparse stores must take the sparse "
          "remap kernel";
@@ -385,8 +392,8 @@ TEST_F(PlanAnalyzeTest, CoalescingMappingPredictionsAreExact) {
     run_options.store_derived = false;
     QueryEngine engine(*repo_, run_options);
     const QueryResult result = engine.run(query);
-    EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
-    EXPECT_GT(result.stats.kernel_remap_dense_cells, 0u);
+    EXPECT_EQ(measured_cells(result), analysis.cold.cells_traversed);
+    EXPECT_GT(kernel(result, kernel_counters::kRemapDenseCells), 0u);
   }
 }
 
@@ -410,8 +417,8 @@ TEST_F(PlanAnalyzeTest, DensifiedSparseOperandsSweepLikeDense) {
   run_options.store_derived = false;
   QueryEngine engine(*repo_, run_options);
   const QueryResult result = engine.run("diff(f1, f2)");
-  EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
-  EXPECT_EQ(result.stats.kernel_identity_dense_cells,
+  EXPECT_EQ(measured_cells(result), analysis.cold.cells_traversed);
+  EXPECT_EQ(kernel(result, kernel_counters::kIdentityDenseCells),
             analysis.cold.cells_traversed)
       << "full sparse operands must densify into the dense identity kernel";
 }
@@ -439,7 +446,7 @@ TEST_F(PlanAnalyzeTest, WarmPassPredictsCacheHitsWithoutExecuting) {
     EXPECT_EQ(analysis.cold.operands_loaded, cold.stats.operands_loaded);
     EXPECT_EQ(analysis.cold.nodes_evaluated, cold.stats.nodes_evaluated);
     EXPECT_EQ(analysis.cold.bytes_loaded, cold.stats.bytes_loaded);
-    EXPECT_EQ(analysis.cold.cells_traversed, measured_cells(cold.stats));
+    EXPECT_EQ(analysis.cold.cells_traversed, measured_cells(cold));
   }
 
   // Re-analyzed over the now-warm repository: the root is served from its

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <optional>
 
-#include "algebra/composite.hpp"
+#include "algebra/operators.hpp"
 #include "common/error.hpp"
 #include "io/cube_format.hpp"
 #include "testutil.hpp"
@@ -77,18 +77,20 @@ class QueryEngineTest : public ::testing::Test {
 
 constexpr const char* kQuery =
     "diff(mean(attr(run=before)), mean(attr(run=after)))";
-constexpr const char* kDirect = "diff(mean(a1, a2, a3), mean(b1, b2))";
 
 TEST_F(QueryEngineTest, MatchesDirectEvalAtEveryThreadCountAndCacheMode) {
   populate_before_after();
 
-  // Reference: the plain composite pipeline over the same stored files.
-  const std::vector<std::string> ids = {"a1", "a2", "a3", "b1", "b2"};
-  std::vector<Experiment> loaded;
-  ExperimentEnv env;
-  for (const std::string& id : ids) loaded.push_back(repo_->load(id));
-  for (std::size_t i = 0; i < ids.size(); ++i) env[ids[i]] = &loaded[i];
-  const Experiment reference = eval_expr(kDirect, env);
+  // Reference: direct operator calls over the same stored files,
+  // diff(mean(a1, a2, a3), mean(b1, b2)).
+  const Experiment a1 = repo_->load("a1");
+  const Experiment a2 = repo_->load("a2");
+  const Experiment a3 = repo_->load("a3");
+  const Experiment b1 = repo_->load("b1");
+  const Experiment b2 = repo_->load("b2");
+  const Experiment reference =
+      difference(mean(std::vector<const Experiment*>{&a1, &a2, &a3}),
+                 mean(std::vector<const Experiment*>{&b1, &b2}));
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     for (const bool cache : {false, true}) {

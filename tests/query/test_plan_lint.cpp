@@ -1,4 +1,4 @@
-#include "query/plan_lint.hpp"
+#include "query/analyze.hpp"
 
 #include <gtest/gtest.h>
 

@@ -48,6 +48,7 @@
 //                     analyzer finds incompatible or over budget.
 //   --format json     with --check: machine-readable analysis report
 #include <algorithm>
+#include <chrono>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -59,7 +60,9 @@
 #include "io/cube_format.hpp"
 #include "io/repository.hpp"
 #include "lint/diagnostics.hpp"
+#include "obs/json_export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
 #include "obs_util.hpp"
 #include "query/analyze.hpp"
 #include "query/engine.hpp"
@@ -116,15 +119,6 @@ void print_cost(const char* label, const cube::query::CostEstimate& c) {
             << " bytes loaded, " << c.bytes_faulted << " bytes faulted, "
             << c.intermediate_bytes << " intermediate bytes, peak resident "
             << c.peak_resident_bytes << " bytes\n";
-}
-
-void json_str(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out << c;
-  }
-  out << '"';
 }
 
 void cost_json(std::ostream& out, const cube::query::CostEstimate& c) {
@@ -240,6 +234,7 @@ int main(int argc, char** argv) {
       cube::lint::DiagnosticSink sink;
       const cube::query::PlanAnalysis analysis =
           cube::query::analyze_plan(plan, repo, sink, aopts);
+      cube::query::lint_plan(plan, sink);
       const std::uint64_t sev_delta = sev_bytes_read() - sev_before;
 
       int rc = sink.exit_code();
@@ -250,9 +245,10 @@ int main(int argc, char** argv) {
       }
       if (json) {
         std::cout << "{\n  \"query\": ";
-        json_str(std::cout, expr);
+        cube::obs::write_json_string(std::cout, expr);
         std::cout << ",\n  \"canonical\": ";
-        json_str(std::cout, plan.nodes[plan.root].canonical);
+        cube::obs::write_json_string(std::cout,
+                                     plan.nodes[plan.root].canonical);
         std::cout << ",\n  \"compatible\": "
                   << (analysis.compatible ? "true" : "false")
                   << ",\n  \"exact\": "
@@ -288,36 +284,50 @@ int main(int argc, char** argv) {
     cube::ExperimentRepository repo(*repo_dir);
     cube::query::QueryEngine engine(repo, options);
 
-    // Admission gate: with a budget set, the plan must pass the static
-    // analyzer before any severity is loaded (the same gate cubed runs
-    // before admitting a query).
-    if (budget_bytes != 0) {
-      cube::query::AnalyzeOptions aopts;
-      aopts.budget_bytes = budget_bytes;
-      aopts.use_cache = options.use_cache;
-      aopts.operators = options.operators;
-      aopts.run_plan_lint = false;
-      cube::lint::DiagnosticSink sink;
-      (void)cube::query::analyze_plan(
-          engine.plan(*cube::query::parse_query(expr)), repo, sink, aopts);
-      if (sink.reached(cube::lint::Level::Error)) {
-        std::cerr << "error: static plan analysis refused the query\n";
-        sink.write_text(std::cerr);
-        return 2;
-      }
-    }
-
-    // Plan-shape advisories (perf.series-foldable & co.) go to stderr;
-    // they never affect the exit code or the result.
-    {
-      cube::lint::DiagnosticSink advisories;
-      cube::query::lint_plan(engine.plan(*cube::query::parse_query(expr)),
-                             advisories);
-      if (!advisories.empty()) advisories.write_text(std::cerr);
-    }
-
+    // One plan serves the admission gate, the plan-shape advisories and
+    // the first run; later --repeat runs plan again, so a warm run times
+    // its own planning.
     std::optional<cube::query::QueryResult> last;
-    for (std::size_t run = 0; run < repeat; ++run) {
+    {
+      cube::obs::Span run_span("query.run");
+      const auto t_plan = std::chrono::steady_clock::now();
+      cube::obs::Span plan_span("query.plan");
+      const cube::query::QueryPlan plan =
+          engine.plan(*cube::query::parse_query(expr));
+      plan_span.finish();
+      const double plan_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t_plan)
+                                 .count();
+
+      // Admission gate: with a budget set, the plan must pass the static
+      // analyzer before any severity is loaded (the same gate cubed runs
+      // before admitting a query).
+      if (budget_bytes != 0) {
+        cube::query::AnalyzeOptions aopts;
+        aopts.budget_bytes = budget_bytes;
+        aopts.use_cache = options.use_cache;
+        aopts.operators = options.operators;
+        cube::lint::DiagnosticSink sink;
+        (void)cube::query::analyze_plan(plan, repo, sink, aopts);
+        if (sink.reached(cube::lint::Level::Error)) {
+          std::cerr << "error: static plan analysis refused the query\n";
+          sink.write_text(std::cerr);
+          return 2;
+        }
+      }
+
+      // Plan-shape advisories (perf.series-foldable & co.) go to stderr;
+      // they never affect the exit code or the result.
+      cube::lint::DiagnosticSink advisories;
+      cube::query::lint_plan(plan, advisories);
+      if (!advisories.empty()) advisories.write_text(std::cerr);
+
+      last = engine.run_plan(plan);
+      last->stats.plan_ms = plan_ms;
+      last->stats.total_ms += plan_ms;
+    }
+    print_stats(*last, 0, repeat, verbose);
+    for (std::size_t run = 1; run < repeat; ++run) {
       last = engine.run(expr);
       print_stats(*last, run, repeat, verbose);
     }

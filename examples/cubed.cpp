@@ -2,11 +2,11 @@
 //
 // Serves algebra queries over a unix-domain socket against one experiment
 // repository.  Every connected session shares a single AnalysisService:
-// one plan cache, one content-addressed result cache (identical queries
-// from different clients hit or coalesce onto one computation), and one
-// thread pool.  Admission control sheds compute work with a structured
-// BUSY response when the executor's queue wait degrades, instead of
-// letting latency grow unboundedly.
+// one content-addressed result cache (identical queries from different
+// clients hit or coalesce onto one computation) and one thread pool.
+// Admission control sheds compute work with a structured BUSY response
+// when the executor's queue wait degrades, instead of letting latency
+// grow unboundedly.
 //
 // Usage:
 //   cubed --repo <dir> --socket <path> [options]
@@ -28,9 +28,6 @@
 //                      resident memory exceeds N bytes, BEFORE they reach
 //                      the compute path (0 disables; docs/QUERY.md,
 //                      "Static plan analysis")
-//   --no-admission-analysis
-//                      skip static plan analysis at admission; semantic
-//                      incompatibilities surface at eval time instead
 //   --force-busy       shed every query (deterministic BUSY; CI smoke)
 //   --no-shutdown      ignore Shutdown frames from clients
 //   --name <s>         server name reported in HelloOk (default cubed)
@@ -105,8 +102,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       service_config.budget_bytes = budget;
-    } else if (arg == "--no-admission-analysis") {
-      service_config.admission_analysis = false;
     } else if (arg == "--force-busy") {
       service_config.force_busy = true;
     } else if (arg == "--no-shutdown") {
@@ -133,7 +128,7 @@ int main(int argc, char** argv) {
                  " [--max-inflight N] [--busy-wait-ms X] [--retry-ms N]"
                  " [--cache-bytes N] [--refresh-ms N] [--no-store]"
                  " [--validate-loads] [--budget-bytes N]"
-                 " [--no-admission-analysis] [--force-busy] [--no-shutdown]"
+                 " [--force-busy] [--no-shutdown]"
                  " [--name s] [--slow-log-threshold X] [--slow-log-size N]"
                  " [--self-profile-interval N]"
               << cube::cli::ObsOptions::usage() << "\n";

@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "algebra/operators.hpp"
+#include "common/error.hpp"
 #include "display/browser.hpp"
 #include "io/cube_api.hpp"
 
@@ -55,36 +57,45 @@ cube::Experiment build_run(const std::string& name, double solve_seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::filesystem::path dir = argc > 1 ? argv[1] : ".";
+  try {
+    const std::filesystem::path dir = argc > 1 ? argv[1] : ".";
+    // A missing output directory is created; should that fail, writing the
+    // file below reports why.
+    std::error_code ignored;
+    std::filesystem::create_directories(dir, ignored);
 
-  // 1. Create an experiment and store it in the CUBE XML format.
-  const cube::Experiment before = build_run("before", 5.0);
-  const std::string path = (dir / "before.cube").string();
-  cube::Cube::write_file(before, path);
-  std::cout << "wrote " << path << "\n";
+    // 1. Create an experiment and store it in the CUBE XML format.
+    const cube::Experiment before = build_run("before", 5.0);
+    const std::string path = (dir / "before.cube").string();
+    cube::Cube::write_file(before, path);
+    std::cout << "wrote " << path << "\n";
 
-  // 2. Read it back — files round-trip losslessly.
-  const cube::Experiment loaded = cube::Cube::read_file(path);
+    // 2. Read it back — files round-trip losslessly.
+    const cube::Experiment loaded = cube::Cube::read_file(path);
 
-  // 3. A second experiment: the "optimized" code version.
-  const cube::Experiment after = build_run("after", 3.5);
+    // 3. A second experiment: the "optimized" code version.
+    const cube::Experiment after = build_run("after", 3.5);
 
-  // 4. Apply the algebra: the difference is itself a full experiment.
-  const cube::Experiment diff = cube::difference(loaded, after);
-  std::cout << "derived experiment: " << diff.name()
-            << " (provenance: " << diff.provenance() << ")\n\n";
+    // 4. Apply the algebra: the difference is itself a full experiment.
+    const cube::Experiment diff = cube::difference(loaded, after);
+    std::cout << "derived experiment: " << diff.name()
+              << " (provenance: " << diff.provenance() << ")\n\n";
 
-  // 5. Browse the derived experiment like an original one.
-  cube::Browser browser(diff);
-  browser.execute("select metric time");
-  browser.execute("select call solve");
-  std::cout << browser.execute("show") << "\n";
+    // 5. Browse the derived experiment like an original one.
+    cube::Browser browser(diff);
+    browser.execute("select metric time");
+    browser.execute("select call solve");
+    std::cout << browser.execute("show") << "\n";
 
-  // 6. Values can also be normalized against the old version ("improvement
-  //    in percent of the previous execution time", paper Figure 2).
-  const cube::Metric& time = *loaded.metadata().find_metric("time");
-  browser.execute("mode external " +
-                  std::to_string(loaded.sum_metric_tree(time)));
-  std::cout << browser.execute("show") << "\n";
-  return 0;
+    // 6. Values can also be normalized against the old version ("improvement
+    //    in percent of the previous execution time", paper Figure 2).
+    const cube::Metric& time = *loaded.metadata().find_metric("time");
+    browser.execute("mode external " +
+                    std::to_string(loaded.sum_metric_tree(time)));
+    std::cout << browser.execute("show") << "\n";
+    return 0;
+  } catch (const cube::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

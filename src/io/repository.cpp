@@ -380,13 +380,10 @@ Experiment ExperimentRepository::load_path(const std::filesystem::path& path,
                                            StorageKind storage) const {
   OBS_SPAN("repo.load");
   loads_counter().add(1);
-  Experiment experiment =
-      format == RepoFormat::Binary
-          ? read_cube_binary_file(path.string(), storage, resolver())
-          : read_cube_xml_file(path.string(), storage, resolver(),
-                               sev_resolver());
-  if (validator_) validator_(experiment, path.string());
-  return experiment;
+  return format == RepoFormat::Binary
+             ? read_cube_binary_file(path.string(), storage, resolver())
+             : read_cube_xml_file(path.string(), storage, resolver(),
+                                  sev_resolver());
 }
 
 bool ExperimentRepository::refresh() {

@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -54,12 +53,6 @@
 #include "model/experiment.hpp"
 
 namespace cube {
-
-/// Validation hook run over every experiment a repository loads; `context`
-/// names the data source (the file path).  Throwing aborts the load.  The
-/// lint subsystem provides a ready-made one (cube::lint::load_validator).
-using LoadValidator =
-    std::function<void(const Experiment&, const std::string&)>;
 
 /// Which on-disk layout a repository uses (see file comment).
 enum class RepoLayout {
@@ -146,17 +139,6 @@ class ExperimentRepository {
     return interner_;
   }
 
-  /// Installs (or clears, with an empty function) a validator run over
-  /// every experiment load()/load_path()/load_all() produces.  Off by
-  /// default: the readers already reject malformed data, so the extra
-  /// O(data) pass is opt-in for pipelines that ingest foreign files.
-  void set_load_validator(LoadValidator validator) {
-    validator_ = std::move(validator);
-  }
-  [[nodiscard]] const LoadValidator& load_validator() const noexcept {
-    return validator_;
-  }
-
   /// Upgrades the repository in place: rewrites every legacy entry
   /// (inline metadata) to the blob-backed layout, and converts a legacy
   /// single-index repository to the sharded layout (blobs into prefix
@@ -200,8 +182,7 @@ class ExperimentRepository {
   bool refresh();
 
   /// Monotonic change counter: bumped by every store/remove/migrate and
-  /// by each refresh() that picked up external changes.  Cheap to poll;
-  /// the query layer keys plan caches on it.
+  /// by each refresh() that picked up external changes.  Cheap to poll.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_.load(std::memory_order_acquire);
   }
@@ -314,7 +295,6 @@ class ExperimentRepository {
   std::map<std::string, Unrecorded> unrecorded_;
   std::unique_ptr<SegmentedIndex> index_;  ///< sharded layout only
   mutable MetadataInterner interner_;
-  LoadValidator validator_;
   /// Guards table_ and index writes; see the class comment.
   mutable std::shared_mutex mutex_;
   std::atomic<std::uint64_t> generation_{0};

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "obs/json_export.hpp"
+
 namespace cube::lint {
 
 std::string_view level_name(Level level) noexcept {
@@ -74,57 +76,20 @@ void DiagnosticSink::write_text(std::ostream& out) const {
       << " note(s)\n";
 }
 
-namespace {
-
-// Minimal JSON string escaping: the two mandatory characters plus control
-// bytes (locations can embed user-supplied names).
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
 void DiagnosticSink::write_json(std::ostream& out) const {
   out << "{\n  \"errors\": " << errors_ << ",\n  \"warnings\": " << warnings_
       << ",\n  \"notes\": " << notes_ << ",\n  \"findings\": [";
   for (std::size_t i = 0; i < diagnostics_.size(); ++i) {
     const Diagnostic& d = diagnostics_[i];
     out << (i == 0 ? "" : ",") << "\n    {\"rule\": ";
-    json_string(out, d.rule);
+    obs::write_json_string(out, d.rule);
     out << ", \"level\": \"" << level_name(d.level) << "\", \"location\": ";
-    json_string(out, d.location);
+    obs::write_json_string(out, d.location);
     out << ", \"message\": ";
-    json_string(out, d.message);
+    obs::write_json_string(out, d.message);
     if (!d.hint.empty()) {
       out << ", \"hint\": ";
-      json_string(out, d.hint);
+      obs::write_json_string(out, d.hint);
     }
     out << "}";
   }

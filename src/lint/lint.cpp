@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -478,13 +479,6 @@ void require_valid(const Experiment& experiment, const std::string& context,
     first = false;
   }
   throw ValidationError(message.str());
-}
-
-std::function<void(const Experiment&, const std::string&)> load_validator(
-    Options options) {
-  return [options](const Experiment& experiment, const std::string& context) {
-    require_valid(experiment, context, options);
-  };
 }
 
 }  // namespace cube::lint

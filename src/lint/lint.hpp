@@ -15,7 +15,6 @@
 // lint/repo_lint.hpp.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
 
@@ -61,10 +60,5 @@ void lint_compatibility(std::span<const Experiment* const> operands,
 /// in the exception message.
 void require_valid(const Experiment& experiment, const std::string& context,
                    const Options& options = {});
-
-/// A ready-made validator for ExperimentRepository::set_load_validator and
-/// the query engine's validate_loads flag: calls require_valid.
-[[nodiscard]] std::function<void(const Experiment&, const std::string&)>
-load_validator(Options options = {});
 
 }  // namespace cube::lint

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/json_export.hpp"
+
 namespace cube::lint {
 
 namespace {
@@ -136,20 +138,6 @@ constexpr RuleInfo kRules[] = {
      "a by-reference file's severity digest resolves to a blob"},
 };
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::span<const RuleInfo> rule_registry() noexcept { return kRules; }
@@ -173,10 +161,13 @@ void write_rules_json(std::ostream& out) {
   out << "[";
   bool first = true;
   for (const RuleInfo& rule : kRules) {
-    out << (first ? "\n" : ",\n") << "  {\"id\": \"" << json_escape(rule.id)
-        << "\", \"level\": \"" << level_name(rule.level) << "\", \"pass\": \""
-        << json_escape(rule.pass) << "\", \"summary\": \""
-        << json_escape(rule.summary) << "\"}";
+    out << (first ? "\n" : ",\n") << "  {\"id\": ";
+    obs::write_json_string(out, rule.id);
+    out << ", \"level\": \"" << level_name(rule.level) << "\", \"pass\": ";
+    obs::write_json_string(out, rule.pass);
+    out << ", \"summary\": ";
+    obs::write_json_string(out, rule.summary);
+    out << "}";
     first = false;
   }
   out << "\n]\n";

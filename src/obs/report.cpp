@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json_export.hpp"
+
 namespace cube::obs {
 
 namespace {
@@ -69,33 +71,6 @@ void print_tree(std::ostream& out, const std::vector<TreeNode>& nodes,
   }
 }
 
-void json_escape(std::ostream& out, const char* s) {
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 void write_text_report(std::ostream& out,
@@ -147,14 +122,14 @@ void write_chrome_trace(std::ostream& out,
     const ThreadSnapshot& snap = threads[tid];
     sep();
     out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    json_escape(out, snap.thread_name.c_str());
-    out << "\"}}";
+        << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    write_json_string(out, snap.thread_name);
+    out << "}}";
     for (const SpanRecord& rec : snap.spans) {
       sep();
-      out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid << ",\"name\":\"";
-      json_escape(out, rec.name);
-      out << "\",\"cat\":\"cube\",\"ts\":" << std::fixed
+      out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid << ",\"name\":";
+      write_json_string(out, rec.name != nullptr ? rec.name : "");
+      out << ",\"cat\":\"cube\",\"ts\":" << std::fixed
           << std::setprecision(3)
           << static_cast<double>(rec.start_ns - base) / 1e3
           << ",\"dur\":" << static_cast<double>(rec.end_ns - rec.start_ns) / 1e3;
@@ -162,9 +137,8 @@ void write_chrome_trace(std::ostream& out,
         out << ",\"args\":{";
         bool first_arg = true;
         if (rec.note != nullptr) {
-          out << "\"note\":\"";
-          json_escape(out, rec.note);
-          out << "\"";
+          out << "\"note\":";
+          write_json_string(out, rec.note);
           first_arg = false;
         }
         if (rec.tag != 0) {

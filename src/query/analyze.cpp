@@ -428,7 +428,6 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
           (analysis.exact ? "" : " (estimates; plan has opaque operands, "
                                  "owner-masked merges, or sparse results)"));
 
-  if (options.run_plan_lint) lint_plan(plan, sink);
   return analysis;
 }
 

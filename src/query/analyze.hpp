@@ -35,8 +35,9 @@
 //                                    integrate once and fold the series
 //                                    in ONE batched sweep (docs/KERNELS.md)
 //
-// The perf.* family (lint_plan, docs/LINT.md) checks EFFICIENCY, not
-// validity: the plan runs and the result is identical either way.
+// The perf.* family is reported by lint_plan alone (docs/LINT.md), never
+// by analyze_plan: it checks EFFICIENCY, not validity — the plan runs and
+// the result is identical either way.
 // Locations are canonical sub-expressions, so findings read without the
 // plan at hand.
 #pragma once
@@ -56,8 +57,6 @@ struct AnalyzeOptions {
   /// Predict derived-cube cache hits (QueryOptions::use_cache).  The warm
   /// estimate equals the cold one when off.
   bool use_cache = true;
-  /// Include the plan-shape advisories (perf.*) in the same sink.
-  bool run_plan_lint = true;
   /// The operator options the executor will run with — integration rules
   /// decide result geometry, `storage` the intermediate representation.
   OperatorOptions operators;
@@ -151,9 +150,9 @@ struct PlanAnalysis {
                                         lint::DiagnosticSink& sink,
                                         const AnalyzeOptions& options = {});
 
-/// Runs the plan-shape advisories over `plan`, reporting into `sink`
-/// (analyze_plan includes them unless AnalyzeOptions::run_plan_lint is
-/// off).
+/// Runs the plan-shape advisories (perf.*) over `plan`, reporting into
+/// `sink`.  analyze_plan never includes them: they are advice, not
+/// admission findings.
 void lint_plan(const QueryPlan& plan, lint::DiagnosticSink& sink);
 
 }  // namespace cube::query

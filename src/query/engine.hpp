@@ -100,9 +100,9 @@ class QueryEngine {
   [[nodiscard]] QueryResult run(std::string_view text);
   [[nodiscard]] QueryResult run(const QueryExpr& expr);
 
-  /// Plans without executing — the daemon's plan cache keys off the
-  /// root node's content-addressed digest before deciding whether any
-  /// execution is needed at all.
+  /// Plans without executing — the daemon looks the root node's
+  /// content-addressed digest up in its result cache before deciding
+  /// whether any execution is needed at all.
   [[nodiscard]] QueryPlan plan(const QueryExpr& expr) const;
 
   /// Executes a previously produced plan (stats.plan_ms stays 0; run()

@@ -38,9 +38,7 @@ std::shared_ptr<const CachedResult> ResultCache::publish(std::uint64_t key,
                                                          CachedResult result) {
   auto shared = std::make_shared<const CachedResult>(std::move(result));
   ts::MutexLock lock(mutex_);
-  auto it = slots_.find(key);
-  if (it == slots_.end()) return shared;  // raced a clear(); serve uncached
-  Slot& slot = *it->second;
+  Slot& slot = *slots_.at(key);  // the caller owns the in-flight slot
   slot.result = shared;
   slot.state = Slot::State::Ready;
   // A key that was on probation before is a repeat: admit it to main.
@@ -83,23 +81,6 @@ std::size_t ResultCache::entries() const {
 std::uint64_t ResultCache::evictions() const {
   ts::MutexLock lock(mutex_);
   return evictions_;
-}
-
-void ResultCache::clear() {
-  ts::MutexLock lock(mutex_);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    if (it->second->state == Slot::State::Ready) {
-      it = slots_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  lru_.clear();
-  probation_.clear();
-  ghost_order_.clear();
-  ghosts_.clear();
-  ready_bytes_ = 0;
-  ghost_bytes_ = 0;
 }
 
 void ResultCache::evict_locked() {

@@ -4,9 +4,10 @@
 // query's root node, src/query/planner.hpp) onto the SERIALIZED result:
 // the CUBEBIN2 body bytes and the CUBEMET1 metadata blob bytes that a
 // Result frame carries.  Caching the wire bytes rather than Experiment
-// objects makes a hit a pure frame write — no re-plan, no operand reload,
-// no re-serialization — and lets every session share one immutable copy
-// through shared_ptr.
+// objects makes a hit a pure frame write once the query is planned — no
+// analysis, no operand reload, no re-serialization — and lets every
+// session share one immutable copy through shared_ptr.  Keys are content
+// digests, valid forever: nothing ever needs to clear the cache.
 //
 // Identical concurrent misses COALESCE: the first acquirer of a key
 // becomes the owner and computes; later acquirers block on the slot and
@@ -110,10 +111,6 @@ class ResultCache {
   [[nodiscard]] std::size_t size_bytes() const;
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::uint64_t evictions() const;
-
-  /// Drops every ready entry (in-flight slots are untouched).  Used when
-  /// the repository generation changes underneath the server.
-  void clear();
 
  private:
   struct Slot {

@@ -3,8 +3,8 @@
 // Listens on a unix-domain socket; every accepted connection gets a
 // session thread running the frame loop (Hello handshake, then
 // Query/Ping/Stats/Shutdown).  Sessions share ONE AnalysisService — and
-// through it one plan cache, one result cache, and one thread pool — so
-// identical queries from different clients hit or coalesce.
+// through it one result cache and one thread pool — so identical queries
+// from different clients hit or coalesce.
 //
 // Per-session state is only the set of metadata digests already sent:
 // a Result carries its CUBEMET1 blob the first time a session sees that

@@ -28,19 +28,24 @@ class QueryParseError : public Error {
   using Error::Error;
 };
 
-/// Internal signal: an owned computation was shed by admission control.
-/// Thrown through ResultCache::fail so coalesced waiters surface the same
-/// structured Busy outcome as the shedding owner.
-class BusyShed : public Error {
+/// Internal signal: an owned computation was refused before it ran — shed
+/// by admission control (a Busy outcome) or rejected by static analysis
+/// (an "analysis" Error outcome).  Thrown through ResultCache::fail so
+/// coalesced waiters surface the same structured outcome as the refusing
+/// owner.
+class Refusal : public Error {
  public:
-  explicit BusyShed(BusyPayload payload)
-      : Error("busy: " + payload.reason), payload_(std::move(payload)) {}
-  [[nodiscard]] const BusyPayload& payload() const noexcept {
-    return payload_;
+  explicit Refusal(QueryOutcome outcome)
+      : Error(outcome.status == QueryOutcome::Status::Busy
+                  ? "busy: " + outcome.busy.reason
+                  : outcome.error.message),
+        outcome_(std::move(outcome)) {}
+  [[nodiscard]] const QueryOutcome& outcome() const noexcept {
+    return outcome_;
   }
 
  private:
-  BusyPayload payload_;
+  QueryOutcome outcome_;
 };
 
 std::int64_t now_ns() {
@@ -99,16 +104,7 @@ AnalysisService::AnalysisService(ExperimentRepository& repo,
 
 AnalysisService::~AnalysisService() = default;
 
-AnalysisService::PlannedQuery AnalysisService::resolve_plan(
-    const std::string& text) {
-  const std::uint64_t epoch = plan_epoch_.load(std::memory_order_acquire);
-  {
-    ts::MutexLock lock(plan_mutex_);
-    auto it = plan_cache_.find(text);
-    if (it != plan_cache_.end() && it->second.epoch == epoch) {
-      return it->second;
-    }
-  }
+query::QueryPlan AnalysisService::resolve_plan(const std::string& text) {
   OBS_SPAN("server.plan");
   // parse_query reports syntax problems as plain Error; promote them so
   // the wire error category distinguishes parse from plan failures.
@@ -118,47 +114,36 @@ AnalysisService::PlannedQuery AnalysisService::resolve_plan(
   } catch (const Error& e) {
     throw QueryParseError(e.what());
   }
-  PlannedQuery planned;
-  planned.epoch = epoch;
-  planned.plan =
-      std::make_shared<const query::QueryPlan>(engine_->plan(*expr));
-  planned.key = planned.plan->nodes[planned.plan->root].key;
-  planned.canonical = planned.plan->nodes[planned.plan->root].canonical;
-  if (config_.admission_analysis) analyze_admission(planned);
-  {
-    ts::MutexLock lock(plan_mutex_);
-    plan_cache_[text] = planned;
-  }
-  return planned;
+  return engine_->plan(*expr);
 }
 
-void AnalysisService::analyze_admission(PlannedQuery& planned) {
+ErrorPayload AnalysisService::analyze_admission(const query::QueryPlan& plan) {
   OBS_SPAN("server.analyze");
   lint::DiagnosticSink sink;
   query::AnalyzeOptions options;
   options.budget_bytes = config_.budget_bytes;
   options.use_cache = engine_->options().use_cache;
-  options.run_plan_lint = false;  // perf.* advisories are not gate-worthy
   options.operators = engine_->options().operators;
+  ErrorPayload rejection;
   try {
-    (void)query::analyze_plan(*planned.plan, repo_, sink, options);
+    (void)query::analyze_plan(plan, repo_, sink, options);
   } catch (const std::exception&) {
     // Analysis must never turn an executable query into a rejection: an
     // unexpected analyzer failure admits the plan and lets the eval path
     // report whatever is actually wrong.
-    return;
+    return rejection;
   }
-  if (!sink.reached(lint::Level::Error)) return;
-  planned.admissible = false;
-  planned.rejection.category = "analysis";
+  if (!sink.reached(lint::Level::Error)) return rejection;
+  rejection.category = "analysis";
   for (const lint::Diagnostic& d : sink.diagnostics()) {
-    if (planned.rejection.message.empty() && d.level == lint::Level::Error) {
-      planned.rejection.message = d.rule + ": " + d.message;
+    if (rejection.message.empty() && d.level == lint::Level::Error) {
+      rejection.message = d.rule + ": " + d.message;
     }
-    planned.rejection.diagnostics.push_back(
+    rejection.diagnostics.push_back(
         WireDiagnostic{d.rule, static_cast<std::uint32_t>(d.level),
                        d.location, d.message, d.hint});
   }
+  return rejection;
 }
 
 BusyPayload AnalysisService::busy_payload(const std::string& reason) const {
@@ -234,10 +219,10 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
     return finish(out);
   }
 
-  PlannedQuery planned;
+  query::QueryPlan plan;
   const std::int64_t plan_t0 = now_ns();
   try {
-    planned = resolve_plan(text);
+    plan = resolve_plan(text);
     slow.plan_ms = static_cast<double>(now_ns() - plan_t0) / 1e6;
   } catch (const QueryParseError& e) {
     slow.plan_ms = static_cast<double>(now_ns() - plan_t0) / 1e6;
@@ -248,31 +233,28 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
     errors_.add();
     return finish(error_outcome("plan", e.what()));
   }
-  slow.canonical = planned.canonical;
+  const std::uint64_t key = plan.nodes[plan.root].key;
+  slow.canonical = plan.nodes[plan.root].canonical;
 
-  if (!planned.admissible) {
-    // Rejected by static analysis: refuse BEFORE touching the result
-    // cache or the pool — an inadmissible plan must not occupy a
-    // coalescing slot or trigger a computation.
-    rejected_.add();
-    errors_.add();
-    slow.outcome = "rejected";
-    QueryOutcome out;
-    out.status = QueryOutcome::Status::Error;
-    out.error = planned.rejection;
-    return finish(out);
-  }
+  // A query refused before any computation: shed (Busy) or rejected by
+  // static analysis (Error), its own miss or the one it coalesced onto.
+  auto refuse = [&](QueryOutcome out) {
+    if (out.status == QueryOutcome::Status::Busy) {
+      busy_.add();
+      slow.outcome = "busy";
+    } else {
+      rejected_.add();
+      errors_.add();
+      slow.outcome = "rejected";
+    }
+    return finish(std::move(out));
+  };
 
   ResultCache::Lookup lookup;
   try {
-    lookup = cache_.acquire(planned.key);
-  } catch (const BusyShed& e) {
-    busy_.add();
-    slow.outcome = "busy";
-    QueryOutcome out;
-    out.status = QueryOutcome::Status::Busy;
-    out.busy = e.payload();
-    return finish(out);
+    lookup = cache_.acquire(key);
+  } catch (const Refusal& e) {
+    return refuse(e.outcome());
   } catch (const Error& e) {
     // Coalesced onto a computation that failed.
     errors_.add();
@@ -290,23 +272,30 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
     return finish(out);
   }
 
-  // Owner path: this thread must compute — unless admission sheds it.
-  std::string shed_reason;
-  const double wait_ms = recent_queue_wait_ms();
-  if (inflight_.load(std::memory_order_relaxed) >= config_.max_inflight) {
-    shed_reason = "computation ceiling reached";
-  } else if (wait_ms > config_.busy_queue_wait_ms) {
-    shed_reason = "executor queue wait degraded";
+  // Owner path: this thread must compute — unless static analysis
+  // rejects the plan or admission control sheds it.  Either refusal
+  // fails the slot, so every session coalesced onto it is refused alike.
+  const std::int64_t analyze_t0 = now_ns();
+  QueryOutcome refusal;  // an Error outcome, refusing if it has a category
+  refusal.error = analyze_admission(plan);
+  slow.plan_ms += static_cast<double>(now_ns() - analyze_t0) / 1e6;
+  if (refusal.error.category.empty()) {
+    std::string shed_reason;
+    const double wait_ms = recent_queue_wait_ms();
+    if (inflight_.load(std::memory_order_relaxed) >= config_.max_inflight) {
+      shed_reason = "computation ceiling reached";
+    } else if (wait_ms > config_.busy_queue_wait_ms) {
+      shed_reason = "executor queue wait degraded";
+    }
+    if (!shed_reason.empty()) {
+      refusal.status = QueryOutcome::Status::Busy;
+      refusal.busy = busy_payload(shed_reason);
+    }
   }
-  if (!shed_reason.empty()) {
-    busy_.add();
-    slow.outcome = "busy";
-    QueryOutcome out;
-    out.status = QueryOutcome::Status::Busy;
-    out.busy = busy_payload(shed_reason);
-    cache_.fail(planned.key,
-                [busy = out.busy] { throw BusyShed(busy); });
-    return finish(out);
+  if (refusal.status == QueryOutcome::Status::Busy ||
+      !refusal.error.category.empty()) {
+    cache_.fail(key, [refusal] { throw Refusal(refusal); });
+    return refuse(std::move(refusal));
   }
 
   inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -321,7 +310,7 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
     obs::Span compute_span("server.compute");
     if (request_id != 0) compute_span.tag(request_id);
     if (config_.before_compute) config_.before_compute();
-    query::QueryResult result = engine_->run_plan(*planned.plan);
+    query::QueryResult result = engine_->run_plan(plan);
     slow.compute_ms = static_cast<double>(now_ns() - compute_t0) / 1e6;
 
     CachedResult cached;
@@ -337,7 +326,7 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
       slow.serialize_ms = static_cast<double>(now_ns() - ser_t0) / 1e6;
     }
     std::shared_ptr<const CachedResult> published =
-        cache_.publish(planned.key, std::move(cached));
+        cache_.publish(key, std::move(cached));
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     inflight_gauge_.set(
         static_cast<double>(inflight_.load(std::memory_order_relaxed)));
@@ -357,11 +346,11 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
     try {
       throw;
     } catch (const Error& e) {
-      cache_.fail(planned.key,
+      cache_.fail(key,
                   [msg = std::string(e.what())] { throw Error(msg); });
       return finish(error_outcome("eval", e.what()));
     } catch (const std::exception& e) {
-      cache_.fail(planned.key,
+      cache_.fail(key,
                   [msg = std::string(e.what())] { throw Error(msg); });
       return finish(error_outcome("internal", e.what()));
     }
@@ -539,11 +528,7 @@ bool AnalysisService::refresh() {
   const std::uint64_t before = repo_.generation();
   repo_.refresh();
   repo_.compact_if_needed();
-  if (repo_.generation() == before) return false;
-  plan_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  ts::MutexLock lock(plan_mutex_);
-  plan_cache_.clear();
-  return true;
+  return repo_.generation() != before;
 }
 
 }  // namespace cube::server

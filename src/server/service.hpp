@@ -1,12 +1,15 @@
 // AnalysisService: the daemon's query-serving core, independent of any
 // transport so tests and bench_server can drive it in-process.
 //
-// A query travels: plan cache (text -> content-addressed root key; planned
-// at most once per repository epoch) -> shared ResultCache (key -> wire
-// bytes; identical concurrent misses coalesce onto one computation) ->
-// QueryEngine::run_plan on the shared ThreadPool (miss only).  A hit or a
-// coalesced wait therefore never re-plans, never reloads operands, and
-// never re-serializes — it hands back the cached frame bytes.
+// A query travels: parse + plan (index lookups only, O(query); every
+// query is planned against the repository as it is now, so selectors see
+// every experiment stored so far, the service's own included) -> shared
+// ResultCache (content-addressed root key -> wire bytes; identical
+// concurrent misses coalesce onto one computation) -> static admission
+// analysis and QueryEngine::run_plan on the shared ThreadPool (miss
+// only).  A hit or a coalesced wait therefore never analyzes, never
+// reloads operands, and never re-serializes — it hands back the cached
+// frame bytes.
 //
 // ADMISSION CONTROL applies to the compute path: when the executor's
 // recent queue wait (measured by probe tasks through the same pool the
@@ -14,17 +17,20 @@
 // ServiceConfig::busy_queue_wait_ms, or more than max_inflight
 // computations are already running, the service sheds the miss with a
 // structured Busy outcome instead of queueing unboundedly.  Cache hits
-// are still served while shedding — they cost a map lookup, not pool
-// time.  Sessions coalesced onto a shed computation receive Busy too.
+// are still served while shedding — they cost a plan and a map lookup,
+// not pool time.  Sessions coalesced onto a shed computation receive
+// Busy too.
 //
-// STATIC ADMISSION runs before any of that: each plan is analyzed once
-// per plan-cache entry (query/analyze.hpp — metadata and severity-blob
-// headers only, never severity payload).  A semantically incompatible
-// plan, or one whose predicted peak resident memory exceeds
-// ServiceConfig::budget_bytes, is rejected with an Error outcome of
-// category "analysis" carrying the analyzer's plan.*/cost.* findings as
-// structured WireDiagnostics — the daemon never spends pool time or
-// cache space discovering at eval time what metadata already proves.
+// STATIC ADMISSION runs first on the miss path: the owner of a miss
+// analyzes its plan (query/analyze.hpp — metadata and severity-blob
+// headers only, never severity payload) before the shed checks.  A
+// semantically incompatible plan, or one whose predicted peak resident
+// memory exceeds ServiceConfig::budget_bytes, is rejected with an Error
+// outcome of category "analysis" carrying the analyzer's plan.*/cost.*
+// findings as structured WireDiagnostics — the daemon never spends pool
+// time or cache space discovering at eval time what metadata already
+// proves.  Sessions coalesced onto a rejected miss receive the same
+// rejection.
 //
 // All entry points are thread-safe; one service instance serves every
 // session of the daemon.
@@ -36,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -66,13 +71,10 @@ struct ServiceConfig {
   /// Forwarded to QueryOptions.
   bool store_derived = true;
   bool validate_loads = false;
-  /// Reject plans whose static analysis finds error-level plan.*
-  /// incompatibilities before they reach the compute path (cubed
-  /// --no-admission-analysis disables).
-  bool admission_analysis = true;
   /// Peak-resident byte budget for one query's predicted execution; a
   /// plan analyzed above it is rejected pre-compute (cost.over-budget).
-  /// 0 disables the budget gate.  Requires admission_analysis.
+  /// 0 disables the budget gate; error-level plan.* incompatibilities
+  /// are rejected regardless.
   std::uint64_t budget_bytes = 0;
   /// Shed EVERY query unconditionally — deterministic Busy for tests and
   /// the CI smoke job (cubed --force-busy).
@@ -163,10 +165,10 @@ class AnalysisService {
     return slow_log_;
   }
 
-  /// Re-reads the repository index if another process changed it; on a
-  /// change the plan cache is invalidated (selector resolution and operand
-  /// digests may differ).  The result cache stays — its keys are content
-  /// digests, which are valid forever.  Returns true if the index changed.
+  /// Re-reads the repository index so later queries plan against other
+  /// processes' stores, and compacts the index when due.  The result
+  /// cache stays — its keys are content digests, which are valid
+  /// forever.  Returns true if the index changed.
   bool refresh();
 
   [[nodiscard]] std::uint64_t generation() const noexcept {
@@ -176,33 +178,20 @@ class AnalysisService {
     return config_;
   }
   [[nodiscard]] ResultCache& cache() noexcept { return cache_; }
-  [[nodiscard]] ThreadPool& pool() noexcept { return *pool_; }
 
  private:
-  /// A planned query text: the root cache key plus the plan itself, kept
-  /// so an uncached key can execute without re-planning.
-  struct PlannedQuery {
-    std::uint64_t epoch = 0;
-    std::uint64_t key = 0;
-    std::string canonical;
-    std::shared_ptr<const query::QueryPlan> plan;
-    /// Static-admission verdict, computed once per plan-cache entry (the
-    /// analysis is a pure function of the plan and the repository epoch,
-    /// so repeats of a rejected query never re-analyze).
-    bool admissible = true;
-    ErrorPayload rejection;  ///< category "analysis" when !admissible
-  };
-
-  [[nodiscard]] PlannedQuery resolve_plan(const std::string& text);
+  /// Parses and plans `text` (parse failures throw QueryParseError).
+  [[nodiscard]] query::QueryPlan resolve_plan(const std::string& text);
   /// Renders the telemetry document from an already-taken registry
   /// snapshot and slow-log snapshot (stats() reuses the snapshots it
   /// ships on the wire instead of taking them twice).
   [[nodiscard]] std::string compose_stats_json(
       const std::vector<obs::MetricSample>& samples,
       const std::vector<WireSlowQuery>& slow) const;
-  /// Runs the static plan analyzer and records the admission verdict on
-  /// `planned` (never throws; an analyzer failure admits the plan).
-  void analyze_admission(PlannedQuery& planned);
+  /// Runs the static plan analyzer; returns the "analysis" rejection of
+  /// an inadmissible plan, or an empty category when the plan is admitted
+  /// (never throws; an analyzer failure admits the plan).
+  [[nodiscard]] ErrorPayload analyze_admission(const query::QueryPlan& plan);
   [[nodiscard]] BusyPayload busy_payload(const std::string& reason) const;
   /// Samples the executor queue wait with a probe task (at most one in
   /// flight) and returns the decayed recent wait in ms.
@@ -212,13 +201,6 @@ class AnalysisService {
   ServiceConfig config_;
   ExperimentRepository& repo_;
   ResultCache cache_;
-
-  ts::Mutex plan_mutex_;
-  std::unordered_map<std::string, PlannedQuery> plan_cache_
-      CUBE_GUARDED_BY(plan_mutex_);
-  /// Bumped when refresh() sees an external index change; plan cache
-  /// entries from older epochs are invalid.
-  std::atomic<std::uint64_t> plan_epoch_{0};
 
   std::atomic<std::size_t> inflight_{0};
 

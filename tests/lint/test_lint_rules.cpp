@@ -209,12 +209,4 @@ TEST(LintRules, RequireValidThrowsWithContextAndRule) {
   }
 }
 
-TEST(LintRules, LoadValidatorWrapsRequireValid) {
-  const auto validator = cube::lint::load_validator();
-  EXPECT_NO_THROW(validator(make_small(), "ctx"));
-  Experiment bad = make_small();
-  bad.severity().set(0, 0, 0, std::numeric_limits<double>::infinity());
-  EXPECT_THROW(validator(bad, "ctx"), ValidationError);
-}
-
 }  // namespace

@@ -360,19 +360,6 @@ TEST_F(RepoLintTest, CorruptedEntryFileSurfacesFileRule) {
   EXPECT_TRUE(prefixed);  // findings name the entry they belong to
 }
 
-TEST_F(RepoLintTest, RepositoryLoadValidatorHookGuardsLoads) {
-  Experiment bad = make_small(StorageKind::Dense, "poisoned");
-  bad.severity().set(0, 0, 0, std::numeric_limits<double>::quiet_NaN());
-  const std::string id = repo_->store(bad);
-
-  // Without the hook the reader happily returns the NaN cube.
-  EXPECT_NO_THROW((void)repo_->load(id));
-  repo_->set_load_validator(cube::lint::load_validator());
-  EXPECT_THROW((void)repo_->load(id), ValidationError);
-  repo_->set_load_validator({});
-  EXPECT_NO_THROW((void)repo_->load(id));
-}
-
 TEST_F(RepoLintTest, QueryEngineValidateLoadsFlag) {
   Experiment bad = make_small(StorageKind::Dense, "bad-op");
   bad.severity().set(0, 0, 0, std::numeric_limits<double>::quiet_NaN());

@@ -644,23 +644,24 @@ TEST_F(PlanAnalyzeTest, CostSummaryIsAlwaysReportedOnce) {
 }
 
 TEST_F(PlanAnalyzeTest, PlanLintAdvisoriesShareTheSink) {
-  repo_->store(make_small(StorageKind::Dense, "small"));
-  const QueryPlan plan = make_plan("mean(small)");
+  repo_->store(make_small(StorageKind::Dense, "a"));
+  repo_->store(make_small(StorageKind::Dense, "b"));
+  repo_->store(make_small(StorageKind::Dense, "c"));
+  const QueryPlan plan = make_plan("mean(mean(a, b), c)");
 
-  DiagnosticSink with_lint;
-  AnalyzeOptions on;
-  on.run_plan_lint = true;
-  (void)analyze(plan, with_lint, on);
-
-  DiagnosticSink without;
-  AnalyzeOptions off;
-  off.run_plan_lint = false;
-  (void)analyze(plan, without, off);
-  // Analysis findings are identical; only the perf.* advisories differ.
-  for (const auto& d : without.diagnostics()) {
+  // analyze_plan reports no perf.* advisory, even on a foldable chain...
+  DiagnosticSink sink;
+  (void)analyze(plan, sink);
+  for (const auto& d : sink.diagnostics()) {
     EXPECT_NE(d.rule.rfind("perf.", 0), 0u) << d.rule;
   }
-  EXPECT_GE(with_lint.diagnostics().size(), without.diagnostics().size());
+  const std::size_t analysis_findings = sink.diagnostics().size();
+
+  // ...lint_plan does, appended to the same sink after the analysis.
+  lint_plan(plan, sink);
+  EXPECT_TRUE(sink.has_rule("perf.series-foldable"));
+  EXPECT_EQ(sink.diagnostics().size(), analysis_findings + 1);
+  EXPECT_EQ(sink.diagnostics().back().rule, "perf.series-foldable");
 }
 
 }  // namespace

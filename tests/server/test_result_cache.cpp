@@ -239,17 +239,4 @@ TEST(ResultCache, OversizedSingleEntryIsEvictedImmediately) {
   cache.fail(1, [] { throw Error("abandoned"); });
 }
 
-TEST(ResultCache, ClearDropsReadyEntries) {
-  ResultCache cache(1 << 20);
-  ASSERT_EQ(cache.acquire(1).outcome, ResultCache::Outcome::Owner);
-  cache.publish(1, make_result("a", 10));
-  EXPECT_EQ(cache.entries(), 1u);
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.size_bytes(), 0u);
-  EXPECT_EQ(cache.acquire(1).outcome, ResultCache::Outcome::Owner);
-  cache.publish(1, make_result("a", 10));
-  EXPECT_EQ(cache.acquire(1).outcome, ResultCache::Outcome::Hit);
-}
-
 }  // namespace

@@ -1,4 +1,4 @@
-// AnalysisService: plan + result caching across calls, coalescing of
+// AnalysisService: result caching across calls, coalescing of
 // identical concurrent queries, admission control, error classification,
 // and repository refresh.
 #include "server/service.hpp"
@@ -86,7 +86,7 @@ TEST_F(ServiceTest, ComputesThenServesFromSharedCache) {
   const QueryOutcome second = service.handle_query(query);
   ASSERT_EQ(second.status, QueryOutcome::Status::Ok);
   EXPECT_EQ(second.served, Served::CacheHit);
-  // The identical immutable instance — no re-plan, no reload, no
+  // The identical immutable instance — no analysis, no reload, no
   // re-serialization.
   EXPECT_EQ(second.result, first.result);
 }
@@ -319,8 +319,8 @@ TEST_F(ServiceTest, StaticAnalysisRejectsIncompatiblePlansPreCompute) {
   EXPECT_EQ(counter_value("server.computes") - computes, 0u)
       << "a rejected plan must never reach the compute path";
 
-  // The verdict is cached on the plan-cache entry: repeats reject again
-  // without computing.
+  // Nothing caches a rejection: a repeat misses the result cache again,
+  // is analyzed again, and is rejected again without computing.
   const QueryOutcome again = service.handle_query(query);
   ASSERT_EQ(again.status, QueryOutcome::Status::Error);
   EXPECT_EQ(again.error.category, "analysis");
@@ -351,23 +351,6 @@ TEST_F(ServiceTest, BudgetGateRejectsExpensivePlansPreCompute) {
   roomy.budget_bytes = std::uint64_t{1} << 30;
   AnalysisService admitting(*repo_, roomy);
   EXPECT_EQ(admitting.handle_query(query).status, QueryOutcome::Status::Ok);
-}
-
-TEST_F(ServiceTest, AdmissionAnalysisOffAdmitsIncompatiblePlans) {
-  const std::string clash = repo_->store(cube::testing::make_unit_clash());
-  ServiceConfig config;
-  config.threads = 1;
-  config.admission_analysis = false;
-  AnalysisService service(*repo_, config);
-  const std::uint64_t rejected = counter_value("server.rejected");
-
-  // Metadata integration uniquifies the clashing metric name, so the
-  // un-gated query computes a (semantically dubious) result — the gate is
-  // admission policy, not a crash guard.
-  const QueryOutcome out =
-      service.handle_query("mean(" + a_ + ", " + clash + ")");
-  ASSERT_EQ(out.status, QueryOutcome::Status::Ok);
-  EXPECT_EQ(counter_value("server.rejected") - rejected, 0u);
 }
 
 TEST_F(ServiceTest, StatsExposeServerInstruments) {
@@ -523,6 +506,33 @@ TEST_F(ServiceTest, SelfProfileWindowsStoreLintableDiffableExperiments) {
   const QueryOutcome diff = service.handle_query(
       "difference(" + id2 + ", " + id1 + ")");
   ASSERT_EQ(diff.status, QueryOutcome::Status::Ok);
+}
+
+TEST_F(ServiceTest, SelectorsSeeTheServicesOwnStores) {
+  ServiceConfig config;
+  config.threads = 1;
+  config.self_profile_source = "cubed-test";
+  AnalysisService service(*repo_, config);
+  const std::string query = "mean(attr(cube.self.source=cubed-test))";
+
+  const std::string id1 = service.export_self_profile_window();
+  const QueryOutcome first = service.handle_query(query);
+  ASSERT_EQ(first.status, QueryOutcome::Status::Ok) << first.error.message;
+  EXPECT_EQ(first.served, Served::Computed);
+  EXPECT_NE(first.result->canonical.find(id1), std::string::npos);
+
+  // The service's own store changes no other process's view, so refresh()
+  // reports no change; the next query must still plan over both windows.
+  const std::string id2 = service.export_self_profile_window();
+  (void)service.refresh();
+  const QueryOutcome second = service.handle_query(query);
+  ASSERT_EQ(second.status, QueryOutcome::Status::Ok) << second.error.message;
+  EXPECT_EQ(second.served, Served::Computed)
+      << "answered over the old window set: " << second.result->canonical;
+  EXPECT_NE(second.result->canonical.find(id1), std::string::npos)
+      << second.result->canonical;
+  EXPECT_NE(second.result->canonical.find(id2), std::string::npos)
+      << second.result->canonical;
 }
 
 TEST_F(ServiceTest, HousekeepingTickExportsOnInterval) {

@@ -8,7 +8,8 @@
 //           index.xml made it O(repo): the measured per-store cost
 //           ratio legacy/sharded must be >= 10x at the full N (10k
 //           entries), and the sharded per-store cost must stay flat
-//           (< 4x) between a near-empty and a full repository.
+//           (< 4x) between a near-empty and a full repository.  Each
+//           cost is the median of 5 timed windows of 50 stores.
 //
 //   stream  An n-ary mean over a columnar (CUBESEV1) series whose total
 //           bytes exceed a resident-memory budget must complete with
@@ -102,19 +103,28 @@ Experiment make_tiny(std::size_t i) {
   return e;
 }
 
-/// Populates a fresh repository of `layout` with `n` entries and returns
-/// the measured per-store cost (ms) of the LAST `k` stores — i.e. the
-/// marginal store cost at repository size ~n.
+/// Populates a fresh repository of `layout` with `n` entries, then times
+/// `windows` consecutive windows of `k` further stores and returns the
+/// median window's per-store cost (ms) — the marginal store cost at
+/// repository size ~n.  One window of a few hundred microseconds per
+/// store is at the mercy of one file-system hiccup (a journal commit, a
+/// directory split); the median of several is not.
 double per_store_ms(const std::filesystem::path& dir, RepoLayout layout,
-                    std::size_t n, std::size_t k) {
+                    std::size_t n, std::size_t k, std::size_t windows) {
   std::filesystem::remove_all(dir);
   ExperimentRepository repo(dir, layout);
-  for (std::size_t i = 0; i + k < n; ++i) repo.store(make_tiny(i));
-  const double t0 = now_ms();
-  for (std::size_t i = n - k; i < n; ++i) repo.store(make_tiny(i));
-  const double t1 = now_ms();
+  std::size_t i = 0;
+  for (; i < n; ++i) repo.store(make_tiny(i));
+  std::vector<double> window_ms;
+  for (std::size_t w = 0; w < windows; ++w) {
+    const double t0 = now_ms();
+    for (const std::size_t end = i + k; i < end; ++i) repo.store(make_tiny(i));
+    window_ms.push_back((now_ms() - t0) / static_cast<double>(k));
+  }
   std::filesystem::remove_all(dir);
-  return (t1 - t0) / static_cast<double>(k);
+  std::nth_element(window_ms.begin(), window_ms.begin() + windows / 2,
+                   window_ms.end());
+  return window_ms[windows / 2];
 }
 
 bool run_store_gate(const std::filesystem::path& base, bool quick) {
@@ -123,14 +133,15 @@ bool run_store_gate(const std::filesystem::path& base, bool quick) {
   // at n=1500 the measured ratio hovers at ~9-11x and flakes.
   const std::size_t n = quick ? 3000 : 10000;
   const std::size_t k = 50;
+  const std::size_t windows = 5;
   const std::size_t n0 = 100;
 
-  const double sharded_small =
-      per_store_ms(base / "sharded_small", RepoLayout::Sharded, n0, k);
-  const double sharded_full =
-      per_store_ms(base / "sharded_full", RepoLayout::Sharded, n, k);
-  const double legacy_full =
-      per_store_ms(base / "legacy_full", RepoLayout::Legacy, n, k);
+  const double sharded_small = per_store_ms(
+      base / "sharded_small", RepoLayout::Sharded, n0, k, windows);
+  const double sharded_full = per_store_ms(
+      base / "sharded_full", RepoLayout::Sharded, n, k, windows);
+  const double legacy_full = per_store_ms(
+      base / "legacy_full", RepoLayout::Legacy, n, k, windows);
 
   const double ratio = legacy_full / sharded_full;
   const double growth = sharded_full / sharded_small;

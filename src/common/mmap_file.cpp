@@ -72,12 +72,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   return *this;
 }
 
-void MappedFile::advise_sequential() const noexcept {
-  if (data_ != nullptr) {
-    ::madvise(const_cast<std::byte*>(data_), size_, MADV_SEQUENTIAL);
-  }
-}
-
 void MappedFile::release_range(std::size_t offset,
                                std::size_t length) const noexcept {
   if (data_ == nullptr || offset >= size_) return;

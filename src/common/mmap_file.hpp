@@ -31,10 +31,6 @@ class MappedFile {
     return path_;
   }
 
-  /// Hints the kernel that the whole mapping will be read front to back
-  /// (readahead-friendly).  Best effort; never throws.
-  void advise_sequential() const noexcept;
-
   /// Tells the kernel the byte range [offset, offset + length) will not
   /// be needed again: resident pages are dropped from RSS and re-faulted
   /// from the file if touched later (the mapping stays valid).  The range

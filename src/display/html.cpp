@@ -1,9 +1,9 @@
 #include "display/html.hpp"
 
 #include <cmath>
-#include <fstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/string_util.hpp"
 
 namespace cube {
@@ -120,11 +120,7 @@ std::string render_html(const ViewState& state, const HtmlOptions& options) {
 
 void write_html_file(const ViewState& state, const std::string& path,
                      const HtmlOptions& options) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  out << render_html(state, options);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
+  write_bytes(path, render_html(state, options));
 }
 
 }  // namespace cube

@@ -1,40 +1,10 @@
 #include "io/binary_codec.hpp"
 
-#include <cstring>
-#include <ostream>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace cube::detail {
-
-void BinaryEncoder::u32(std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)));
-  out_.write(buf, 4);
-}
-
-void BinaryEncoder::u64(std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)));
-  out_.write(buf, 8);
-}
-
-void BinaryEncoder::i64(std::int64_t v) {
-  u64(static_cast<std::uint64_t>(v));
-}
-
-void BinaryEncoder::f64(double v) {
-  static_assert(sizeof(double) == 8);
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out_.write(buf, 8);
-}
-
-void BinaryEncoder::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
 
 void BinaryDecoder::need(std::size_t n) const {
   if (pos_ + n > data_.size()) {
@@ -47,22 +17,14 @@ void BinaryDecoder::need(std::size_t n) const {
 
 std::uint32_t BinaryDecoder::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
+  const std::uint32_t v = get_u32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t BinaryDecoder::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
+  const std::uint64_t v = get_u64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }

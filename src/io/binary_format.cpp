@@ -1,14 +1,13 @@
 #include "io/binary_format.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "io/binary_codec.hpp"
+#include "common/file_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
@@ -34,22 +33,12 @@ obs::Counter& bytes_written_counter() {
   return c;
 }
 
-/// Adds the stream-position delta across `write` to io.bin.bytes_written
-/// (string streams and files both support tellp; -1 positions are skipped).
-template <typename WriteFn>
-void write_counted(std::ostream& out, const WriteFn& write) {
-  const auto before = out.tellp();
-  write();
-  const auto after = out.tellp();
-  if (before != std::streampos(-1) && after != std::streampos(-1)) {
-    bytes_written_counter().add(static_cast<std::uint64_t>(after - before));
-  }
-}
-
 constexpr char kMagic[8] = {'C', 'U', 'B', 'E', 'B', 'I', 'N', '1'};
 // By-reference variant: metadata is NOT inline; the stream embeds the
 // structural digest of a metadata blob instead (see meta_format.hpp).
 constexpr char kRefMagic[8] = {'C', 'U', 'B', 'E', 'B', 'I', 'N', '2'};
+/// One severity triple: 3 u32 indices + 1 f64 value.
+constexpr std::size_t kTripleBytes = 3 * 4 + 8;
 
 void encode_attributes(detail::BinaryEncoder& e, const Experiment& exp) {
   e.u32(static_cast<std::uint32_t>(exp.attributes().size()));
@@ -59,34 +48,69 @@ void encode_attributes(detail::BinaryEncoder& e, const Experiment& exp) {
   }
 }
 
+/// Bytes of the magic, the attribute section and the severity section:
+/// everything but the metadata (inline) or its digest (by reference).
+std::size_t framed_size(const Experiment& exp, std::size_t nonzeros) {
+  std::size_t size = sizeof kMagic + 4 + 4 + kTripleBytes * nonzeros;
+  for (const auto& [k, v] : exp.attributes()) size += 8 + k.size() + v.size();
+  return size;
+}
+
 // Severity encoding runs over the non-virtual bulk layer
-// (docs/STORAGE.md): dense stores stream their contiguous cell span,
-// sparse stores their key-sorted non-zeros — which IS ascending (m, c, t)
-// order, so the bytes are identical to the per-cell triple loop this
-// replaces (and to what decode_severity expects).
-void encode_severity(detail::BinaryEncoder& e, const Experiment& exp) {
-  const SeverityStore& sev = exp.severity();
-  const std::size_t cnodes = sev.num_cnodes();
-  const std::size_t threads = sev.num_threads();
-  const auto entry = [&](std::uint64_t cell, Severity v) {
-    const std::uint64_t rest = cell % (cnodes * threads);
-    e.u32(static_cast<std::uint32_t>(cell / (cnodes * threads)));
-    e.u32(static_cast<std::uint32_t>(rest / threads));
-    e.u32(static_cast<std::uint32_t>(rest % threads));
-    e.f64(v);
+// (docs/STORAGE.md): dense stores walk their cell span, sparse stores
+// their key-sorted non-zeros — both ascending (m, c, t), the order
+// decode_severity expects.  One 20-byte append per triple.
+void encode_severity(detail::BinaryEncoder& e, const SeverityStore& sev,
+                     std::size_t nonzeros) {
+  const std::uint64_t cnodes = sev.num_cnodes();
+  const std::uint64_t threads = sev.num_threads();
+  const auto entry = [&](std::uint64_t m, std::uint64_t c, std::uint64_t t,
+                         Severity v) {
+    char triple[kTripleBytes];
+    detail::put_u32(triple, static_cast<std::uint32_t>(m));
+    detail::put_u32(triple + 4, static_cast<std::uint32_t>(c));
+    detail::put_u32(triple + 8, static_cast<std::uint32_t>(t));
+    detail::put_f64(triple + 12, v);
+    e.bytes({triple, kTripleBytes});
   };
-  e.u32(static_cast<std::uint32_t>(sev.nonzero_count()));
+  e.u32(static_cast<std::uint32_t>(nonzeros));
   if (sev.kind() == StorageKind::Dense) {
     const auto cells = static_cast<const DenseSeverity&>(sev).cells();
-    for (std::uint64_t cell = 0; cell < cells.size(); ++cell) {
-      if (cells[cell] != 0.0) entry(cell, cells[cell]);
+    const std::uint64_t metrics = sev.num_metrics();
+    std::uint64_t cell = 0;
+    for (std::uint64_t m = 0; m < metrics; ++m) {
+      for (std::uint64_t c = 0; c < cnodes; ++c) {
+        for (std::uint64_t t = 0; t < threads; ++t, ++cell) {
+          if (cells[cell] != 0.0) entry(m, c, t, cells[cell]);
+        }
+      }
     }
     return;
   }
   for (const auto& [cell, v] :
        static_cast<const SparseSeverity&>(sev).sorted_cells()) {
-    if (v != 0.0) entry(cell, v);
+    if (v == 0.0) continue;
+    const std::uint64_t rest = cell % (cnodes * threads);
+    entry(cell / (cnodes * threads), rest / threads, rest % threads, v);
   }
+}
+
+/// The whole stream: magic, attributes, `body` (inline metadata or its
+/// digest), severity.  Counted in io.bin.bytes_written.
+template <typename Body>
+std::string encode_stream(const Experiment& experiment, const char* magic,
+                          std::size_t body_size, const Body& body) {
+  OBS_SPAN("io.bin.write");
+  const std::size_t nonzeros = experiment.severity().nonzero_count();
+  std::string out;
+  out.reserve(framed_size(experiment, nonzeros) + body_size);
+  detail::BinaryEncoder e(out);
+  e.bytes({magic, sizeof kMagic});
+  encode_attributes(e, experiment);
+  body(e);
+  encode_severity(e, experiment.severity(), nonzeros);
+  bytes_written_counter().add(out.size());
+  return out;
 }
 
 std::vector<std::pair<std::string, std::string>> decode_attributes(
@@ -105,9 +129,8 @@ std::vector<std::pair<std::string, std::string>> decode_attributes(
 void decode_severity(detail::BinaryDecoder& d, Experiment& experiment) {
   const Metadata& md = experiment.metadata();
   const std::uint32_t num_values = d.u32();
-  // Each triple is 3 u32 indices + 1 f64 value on the wire.
   sev_bytes_read_counter().add(static_cast<std::uint64_t>(num_values) *
-                               (3 * sizeof(std::uint32_t) + sizeof(double)));
+                               kTripleBytes);
   for (std::uint32_t i = 0; i < num_values; ++i) {
     const std::uint32_t m = d.u32();
     const std::uint32_t c = d.u32();
@@ -135,47 +158,22 @@ void decode_severity(detail::BinaryDecoder& d, Experiment& experiment) {
 
 }  // namespace
 
-void write_cube_binary(const Experiment& experiment, std::ostream& out) {
-  OBS_SPAN("io.bin.write");
-  write_counted(out, [&] {
-    out.write(kMagic, sizeof kMagic);
-    detail::BinaryEncoder e(out);
-    encode_attributes(e, experiment);
+std::string to_cube_binary(const Experiment& experiment) {
+  // The inline metadata grows the buffer past its reservation.
+  return encode_stream(experiment, kMagic, 0, [&](detail::BinaryEncoder& e) {
     detail::encode_metadata(e, experiment.metadata());
-    encode_severity(e, experiment);
   });
 }
 
-void write_cube_binary_ref(const Experiment& experiment, std::ostream& out) {
-  OBS_SPAN("io.bin.write");
-  write_counted(out, [&] {
-    out.write(kRefMagic, sizeof kRefMagic);
-    detail::BinaryEncoder e(out);
-    encode_attributes(e, experiment);
+std::string to_cube_binary_ref(const Experiment& experiment) {
+  return encode_stream(experiment, kRefMagic, 8, [&](detail::BinaryEncoder& e) {
     e.u64(experiment.metadata().digest());
-    encode_severity(e, experiment);
   });
 }
 
 void write_cube_binary_file(const Experiment& experiment,
                             const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  write_cube_binary(experiment, out);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
-}
-
-std::string to_cube_binary(const Experiment& experiment) {
-  std::ostringstream os(std::ios::binary);
-  write_cube_binary(experiment, os);
-  return os.str();
-}
-
-std::string to_cube_binary_ref(const Experiment& experiment) {
-  std::ostringstream os(std::ios::binary);
-  write_cube_binary_ref(experiment, os);
-  return os.str();
+  write_bytes(path, to_cube_binary(experiment));
 }
 
 Experiment read_cube_binary(std::string_view data, StorageKind storage,
@@ -222,11 +220,7 @@ Experiment read_cube_binary(std::string_view data, StorageKind storage,
 
 Experiment read_cube_binary_file(const std::string& path, StorageKind storage,
                                  const MetadataResolver& resolver) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_cube_binary(buffer.str(), storage, resolver);
+  return read_cube_binary(read_bytes(path), storage, resolver);
 }
 
 }  // namespace cube

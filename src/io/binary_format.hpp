@@ -16,7 +16,6 @@
 // metadata.  Reading one requires a MetadataResolver.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "io/meta_format.hpp"
@@ -25,14 +24,12 @@
 namespace cube {
 
 /// Serializes the experiment to the binary format (inline metadata).
-void write_cube_binary(const Experiment& experiment, std::ostream& out);
 void write_cube_binary_file(const Experiment& experiment,
                             const std::string& path);
 [[nodiscard]] std::string to_cube_binary(const Experiment& experiment);
 
 /// Serializes by reference: attributes + metadata digest + severity.  The
 /// referenced blob must be stored separately (the repository does this).
-void write_cube_binary_ref(const Experiment& experiment, std::ostream& out);
 [[nodiscard]] std::string to_cube_binary_ref(const Experiment& experiment);
 
 /// Deserializes either variant; throws cube::Error on a malformed or

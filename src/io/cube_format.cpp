@@ -1,6 +1,5 @@
 #include "io/cube_format.hpp"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -8,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "io/binary_format.hpp"
+#include "common/file_io.hpp"
 #include "io/xml_parser.hpp"
 #include "io/xml_writer.hpp"
 #include "obs/metrics.hpp"
@@ -286,11 +286,7 @@ void write_cube_xml(const Experiment& experiment, std::ostream& out) {
 
 void write_cube_xml_file(const Experiment& experiment,
                          const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  write_cube_xml(experiment, out);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
+  write_bytes(path, to_cube_xml(experiment));
 }
 
 std::string to_cube_xml(const Experiment& experiment) {
@@ -650,11 +646,7 @@ Experiment read_cube_xml(std::string_view xml, StorageKind storage,
 Experiment read_cube_xml_file(const std::string& path, StorageKind storage,
                               const MetadataResolver& resolver,
                               const SeverityResolver& sev_resolver) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_cube_xml(buffer.str(), storage, resolver, sev_resolver);
+  return read_cube_xml(read_bytes(path), storage, resolver, sev_resolver);
 }
 
 namespace {
@@ -684,11 +676,7 @@ std::filesystem::path repo_root_for(const std::filesystem::path& file) {
 Experiment read_experiment_file(const std::string& path, StorageKind storage,
                                 const MetadataResolver& resolver,
                                 const SeverityResolver& sev_resolver) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string data = buffer.str();
+  const std::string data = read_bytes(path);
   // Files written by the repository reference their metadata (and, for
   // columnar envelopes, severity) blobs; resolve against the enclosing
   // repository's blob directories unless the caller supplied resolvers.

@@ -110,6 +110,15 @@ bool EntryTable::erase(std::string_view id) {
   return true;
 }
 
+std::string EntryTable::unique_id(const std::string& base) {
+  if (find(base) == nullptr) return base;
+  std::size_t& hint = next_suffix_.try_emplace(base, 2).first->second;
+  for (;; ++hint) {
+    std::string candidate = base + "-" + std::to_string(hint);
+    if (find(candidate) == nullptr) return candidate;
+  }
+}
+
 void EntryTable::replay(std::vector<IndexRecord> records) {
   const bool tombstones =
       std::any_of(records.begin(), records.end(),
@@ -155,6 +164,7 @@ std::vector<std::size_t> EntryTable::take_undigested() {
 }
 
 void EntryTable::rebuild() {
+  next_suffix_.clear();  // entries may have gone: search from 2 again
   by_id_.clear();
   postings_.clear();
   undigested_.clear();

@@ -72,6 +72,14 @@ class EntryTable {
   /// Removes the first entry with `id`; false if there is none.
   bool erase(std::string_view id);
 
+  /// A free id for a new entry: `base` if no entry has it, else
+  /// "<base>-<k>" for the lowest free k >= 2.  A per-base hint remembers
+  /// where the last search for `base` ended, so storing one name n times
+  /// costs O(1) probes per store rather than O(n).  A removal or reload
+  /// (which rebuild the maps, O(n) anyway) drops the hints, so the ids
+  /// stay those of a search from k = 2.
+  [[nodiscard]] std::string unique_id(const std::string& base);
+
   /// Applies replayed index records in order.  A batch without
   /// tombstones is a run of upserts; one with tombstones replays into
   /// slots and rebuilds the maps once, keeping a full replay linear.
@@ -108,6 +116,8 @@ class EntryTable {
   /// Digest of (key, value) -> ascending positions.
   std::unordered_map<std::uint64_t, std::vector<Position>> postings_;
   std::vector<std::size_t> undigested_;
+  /// Base id -> a k such that "<base>-2" ... "<base>-(k-1)" are taken.
+  std::unordered_map<std::string, std::size_t> next_suffix_;
 };
 
 }  // namespace cube

@@ -10,7 +10,7 @@
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
-#include "io/file_write.hpp"
+#include "common/file_io.hpp"
 #include "io/xml_parser.hpp"
 #include "io/xml_writer.hpp"
 
@@ -19,18 +19,6 @@ namespace cube {
 namespace {
 
 constexpr const char* kManifestHeader = "cube-repo-manifest 1";
-
-[[nodiscard]] std::string read_file_bytes(const std::filesystem::path& path,
-                                          std::uint64_t offset = 0) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("cannot open '" + path.string() + "'");
-  }
-  if (offset > 0) in.seekg(static_cast<std::streamoff>(offset));
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
 
 /// "seg-NNNNNN.log" -> NNNNNN, or 0 if the name does not match.
 [[nodiscard]] std::uint64_t segment_number(std::string_view name) {
@@ -160,7 +148,7 @@ void SegmentedIndex::create() {
 
 void SegmentedIndex::read_manifest() {
   const std::filesystem::path path = index_dir() / kManifestName;
-  const std::string bytes = read_file_bytes(path);
+  const std::string bytes = read_bytes(path);
   manifest_digest_ = fnv1a(bytes);
   names_.clear();
   std::istringstream in(bytes);
@@ -276,7 +264,7 @@ void SegmentedIndex::load(EntryTable& entries) {
   std::vector<IndexRecord> records;
   for (const std::string& name : names_) {
     const std::filesystem::path path = segment_path(name);
-    const std::string data = read_file_bytes(path);
+    const std::string data = read_bytes(path);
     const ParseResult parsed = parse_records(data, 0, name, records);
     SegmentState state;
     state.name = name;
@@ -304,7 +292,7 @@ bool SegmentedIndex::read_active_tail(EntryTable& entries) {
     return true;
   }
   if (size == active.parsed_bytes && !active.torn_tail) return false;
-  const std::string tail = read_file_bytes(path, active.parsed_bytes);
+  const std::string tail = read_bytes(path, active.parsed_bytes);
   std::vector<IndexRecord> records;
   const ParseResult parsed =
       parse_records(tail, active.parsed_bytes, active.name, records);
@@ -318,7 +306,7 @@ bool SegmentedIndex::read_active_tail(EntryTable& entries) {
 
 bool SegmentedIndex::refresh(EntryTable& entries) {
   const std::string manifest_bytes =
-      read_file_bytes(index_dir() / kManifestName);
+      read_bytes(index_dir() / kManifestName);
   if (fnv1a(manifest_bytes) != manifest_digest_) {
     // Segment list changed (another process sealed or compacted): replay
     // everything.
@@ -399,7 +387,7 @@ SegmentedIndex::CompactResult SegmentedIndex::compact(EntryTable& live) {
   // MANIFEST means the segment list itself moved under us: replay
   // everything.  An unchanged one means only the active segment can have
   // grown: merge its appended tail.
-  if (fnv1a(read_file_bytes(index_dir() / kManifestName)) !=
+  if (fnv1a(read_bytes(index_dir() / kManifestName)) !=
       manifest_digest_) {
     load(live);
     result.entries_changed = true;

@@ -1,12 +1,11 @@
 #include "io/meta_format.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "io/binary_codec.hpp"
+#include "common/file_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
@@ -35,34 +34,23 @@ bool is_cube_meta(std::string_view data) noexcept {
          std::memcmp(data.data(), kMetaMagic, sizeof kMetaMagic) == 0;
 }
 
-void write_cube_meta(const Metadata& metadata, std::ostream& out) {
+std::string to_cube_meta(const Metadata& metadata) {
   OBS_SPAN("io.meta.write");
   if (!metadata.frozen()) {
     throw Error("metadata blob requires frozen metadata");
   }
-  const auto before = out.tellp();
-  out.write(kMetaMagic, sizeof kMetaMagic);
+  std::string out;
   detail::BinaryEncoder e(out);
+  e.bytes({kMetaMagic, sizeof kMetaMagic});
   e.u64(metadata.digest());
   detail::encode_metadata(e, metadata);
-  const auto after = out.tellp();
-  if (before != std::streampos(-1) && after != std::streampos(-1)) {
-    meta_bytes_written_counter().add(static_cast<std::uint64_t>(after - before));
-  }
+  meta_bytes_written_counter().add(out.size());
+  out.shrink_to_fit();  // the daemon caches blobs: drop the growth slack
+  return out;
 }
 
 void write_cube_meta_file(const Metadata& metadata, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  write_cube_meta(metadata, out);
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
-}
-
-std::string to_cube_meta(const Metadata& metadata) {
-  std::ostringstream os(std::ios::binary);
-  write_cube_meta(metadata, os);
-  return os.str();
+  write_bytes(path, to_cube_meta(metadata));
 }
 
 std::shared_ptr<const Metadata> read_cube_meta(std::string_view data) {
@@ -90,11 +78,7 @@ std::shared_ptr<const Metadata> read_cube_meta(std::string_view data) {
 }
 
 std::shared_ptr<const Metadata> read_cube_meta_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_cube_meta(buffer.str());
+  return read_cube_meta(read_bytes(path));
 }
 
 std::string meta_blob_name(std::uint64_t digest) {

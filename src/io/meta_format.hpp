@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,7 +41,6 @@ using MetadataResolver =
 [[nodiscard]] std::string meta_blob_name(std::uint64_t digest);
 
 /// Serializes frozen metadata as a blob.  Throws Error if not frozen.
-void write_cube_meta(const Metadata& metadata, std::ostream& out);
 void write_cube_meta_file(const Metadata& metadata, const std::string& path);
 [[nodiscard]] std::string to_cube_meta(const Metadata& metadata);
 

@@ -1,7 +1,6 @@
 #include "io/repository.hpp"
 
 #include <cctype>
-#include <fstream>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -11,7 +10,7 @@
 #include "common/string_util.hpp"
 #include "io/binary_format.hpp"
 #include "io/cube_format.hpp"
-#include "io/file_write.hpp"
+#include "common/file_io.hpp"
 #include "io/xml_parser.hpp"
 #include "io/xml_writer.hpp"
 #include "obs/metrics.hpp"
@@ -96,14 +95,40 @@ void ensure_parent_dir(const std::filesystem::path& file) {
   }
 }
 
-/// Atomically places `bytes` at `target`, creating parent directories.
-/// No-op if the target already exists (blobs are immutable and
-/// content-addressed).
-void place_blob(const std::filesystem::path& target,
-                const std::string& bytes) {
-  if (std::filesystem::exists(target)) return;
+/// Atomically places the bytes `encode()` returns at `target`, creating
+/// parent directories — unless the target exists: blobs are immutable and
+/// content-addressed, so a stored blob costs one probe and no encode.
+template <typename Encode>
+void place_blob(const std::filesystem::path& target, const Encode& encode) {
+  std::error_code ec;
+  if (std::filesystem::exists(target, ec)) return;
   ensure_parent_dir(target);
-  replace_file(target, bytes);
+  replace_file(target, encode());
+}
+
+/// Existing location of blob `name` under `dir` — one shard level down,
+/// or flat (legacy) — or its sharded location when there is none.
+std::filesystem::path find_blob(const std::filesystem::path& dir,
+                                const std::string& name) {
+  const std::filesystem::path sharded = dir / shard_of(name) / name;
+  const std::filesystem::path flat = dir / name;
+  return !std::filesystem::exists(sharded) && std::filesystem::exists(flat)
+             ? flat
+             : sharded;
+}
+
+/// The experiment file of `entry` (its format; a columnar file references
+/// the severity blob entry.sev).
+std::string encode_experiment(const Experiment& experiment,
+                              const RepoEntry& entry) {
+  if (entry.format == RepoFormat::Binary) return to_cube_binary_ref(experiment);
+  if (entry.format == RepoFormat::Xml) return to_cube_xml_ref(experiment);
+  std::uint64_t sev_digest = 0;
+  if (!parse_hex64(entry.sev, sev_digest)) {
+    throw Error("repository entry '" + entry.id +
+                "' has a malformed severity digest '" + entry.sev + "'");
+  }
+  return to_cube_xml_sev_ref(experiment, sev_digest);
 }
 
 }  // namespace
@@ -139,15 +164,9 @@ ExperimentRepository::ExperimentRepository(std::filesystem::path directory,
 }
 
 void ExperimentRepository::read_index() {
-  std::ifstream in(directory_ / kIndexFile);
-  if (!in) {
-    throw IoError("cannot open repository index in '" + directory_.string() +
-                  "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  index_digest_ = fnv1a(buffer.str());
-  const auto root = parse_xml(buffer.str());
+  const std::string bytes = read_bytes(directory_ / kIndexFile);
+  index_digest_ = fnv1a(bytes);
+  const auto root = parse_xml(bytes);
   if (root->name != "repository") {
     throw Error("'" + directory_.string() + "' is not a CUBE repository");
   }
@@ -222,14 +241,6 @@ void ExperimentRepository::index_store(const RepoEntry& entry) {
   }
 }
 
-std::string ExperimentRepository::unique_id(const std::string& base) const {
-  if (table_.find(base) == nullptr) return base;
-  for (std::size_t k = 2;; ++k) {
-    const std::string candidate = base + "-" + std::to_string(k);
-    if (table_.find(candidate) == nullptr) return candidate;
-  }
-}
-
 MetadataResolver ExperimentRepository::resolver() const {
   return directory_resolver(directory_, &interner_);
 }
@@ -240,48 +251,22 @@ SeverityResolver ExperimentRepository::sev_resolver() const {
 
 std::optional<SevBlobStat> ExperimentRepository::stat_sev_blob(
     std::uint64_t digest) const {
-  const std::filesystem::path path = find_sev_blob(digest_hex(digest));
+  const std::filesystem::path path =
+      find_blob(directory_ / kSevDir, digest_hex(digest) + ".sev");
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return std::nullopt;
   return stat_cube_sev_file(path);
 }
 
-std::filesystem::path ExperimentRepository::find_meta_blob(
-    const std::string& hex) const {
-  const std::string name = hex + ".meta";
-  const std::filesystem::path sharded =
-      directory_ / kMetaDir / shard_of(name) / name;
-  const std::filesystem::path flat = directory_ / kMetaDir / name;
-  if (std::filesystem::exists(sharded)) return sharded;
-  if (std::filesystem::exists(flat)) return flat;
-  return layout_ == RepoLayout::Sharded ? sharded : flat;
-}
-
-std::filesystem::path ExperimentRepository::find_sev_blob(
-    const std::string& hex) const {
-  const std::string name = hex + ".sev";
-  const std::filesystem::path sharded =
-      directory_ / kSevDir / shard_of(name) / name;
-  const std::filesystem::path flat = directory_ / kSevDir / name;
-  if (std::filesystem::exists(flat) && !std::filesystem::exists(sharded)) {
-    return flat;
-  }
-  return sharded;
-}
-
 std::string ExperimentRepository::ensure_blob(const Metadata& metadata) const {
   const std::string hex = digest_hex(metadata.digest());
-  place_blob(find_meta_blob(hex), to_cube_meta(metadata));
-  return hex;
-}
-
-std::string ExperimentRepository::ensure_sev_blob(
-    const SeverityStore& severity) const {
-  const std::string bytes = to_cube_sev(severity);
-  const std::string hex = digest_hex(fnv1a(bytes));
-  // Severity blobs are new with the sharded layout, so they shard
-  // regardless of how the rest of the repository is laid out.
-  place_blob(directory_ / kSevDir / shard_of(hex) / (hex + ".sev"), bytes);
+  const std::string name = hex + ".meta";
+  // One probe, at the layout's own location: migrate() moves every blob
+  // of a repository it shards into the shards.
+  place_blob(layout_ == RepoLayout::Sharded
+                 ? directory_ / kMetaDir / shard_of(name) / name
+                 : directory_ / kMetaDir / name,
+             [&] { return to_cube_meta(metadata); });
   return hex;
 }
 
@@ -299,64 +284,68 @@ bool ExperimentRepository::sev_referenced(const std::string& hex) const {
   return false;
 }
 
-void ExperimentRepository::write_experiment_file(const Experiment& experiment,
-                                                 RepoEntry& entry) const {
+void ExperimentRepository::write_experiment_file(
+    const RepoEntry& entry, std::string_view bytes) const {
   const std::filesystem::path path = directory_ / entry.file;
   ensure_parent_dir(path);
-  std::string bytes;
-  if (entry.format == RepoFormat::Binary) {
-    bytes = to_cube_binary_ref(experiment);
-  } else if (entry.format == RepoFormat::Columnar) {
-    std::uint64_t sev_digest = 0;
-    if (!parse_hex64(entry.sev, sev_digest)) {
-      throw Error("repository entry '" + entry.id +
-                  "' has a malformed severity digest '" + entry.sev + "'");
-    }
-    bytes = to_cube_xml_sev_ref(experiment, sev_digest);
-  } else {
-    bytes = to_cube_xml_ref(experiment);
-  }
   write_bytes(path, bytes);
+}
+
+std::string ExperimentRepository::store(
+    const Experiment& experiment, RepoFormat format,
+    std::shared_ptr<const std::string> file_bytes) {
+  OBS_SPAN("repo.store");
+  // No byte of the files depends on the id: encode and hash before the
+  // lock, which then covers only the id, the writes and the record.
+  RepoEntry entry;
+  entry.format = format;
+  entry.attributes =
+      std::map<std::string, std::string>(experiment.attributes().begin(),
+                                         experiment.attributes().end());
+  std::string sev_bytes;
+  if (format == RepoFormat::Columnar) {
+    sev_bytes = to_cube_sev(experiment.severity());
+    entry.sev = digest_hex(fnv1a(sev_bytes));
+  }
+  const std::string encoded =
+      file_bytes ? std::string() : encode_experiment(experiment, entry);
+  const std::string_view bytes = file_bytes ? *file_bytes : encoded;
   // The digest of exactly the bytes written: what digest_file() would
   // compute, so cache keys match those of hashing the file.
   entry.digest = fnv1a(bytes);
   entry.bytes = bytes.size();
-}
+  const std::string base =
+      sanitize(experiment.name().empty() ? "experiment" : experiment.name());
 
-std::string ExperimentRepository::store(const Experiment& experiment,
-                                        RepoFormat format) {
-  OBS_SPAN("repo.store");
   std::unique_lock lock(mutex_);
-  const std::string id = unique_id(sanitize(
-      experiment.name().empty() ? "experiment" : experiment.name()));
-  RepoEntry entry;
-  entry.id = id;
+  entry.id = table_.unique_id(base);
+  const std::string id = entry.id;
   const std::string file_name = id + extension_for(format);
   entry.file =
       layout_ == RepoLayout::Sharded
           ? (std::filesystem::path(kExpDir) / id_shard(id) / file_name)
                 .generic_string()
           : file_name;
-  entry.format = format;
   // Crash ordering: blobs first, then the experiment file, then the index
   // record — at every intermediate point the index only references
   // complete files, and leftovers are mere orphan blobs.
   entry.meta = ensure_blob(experiment.metadata());
   if (format == RepoFormat::Columnar) {
-    entry.sev = ensure_sev_blob(experiment.severity());
+    // Severity blobs are new with the sharded layout, so they shard
+    // regardless of how the rest of the repository is laid out.
+    place_blob(directory_ / kSevDir / shard_of(entry.sev) /
+                   (entry.sev + ".sev"),
+               [&]() -> const std::string& { return sev_bytes; });
   }
-  entry.attributes =
-      std::map<std::string, std::string>(experiment.attributes().begin(),
-                                         experiment.attributes().end());
-
-  write_experiment_file(experiment, entry);
+  write_experiment_file(entry, bytes);
   table_.upsert(std::move(entry));  // id is unique: appends
   index_store(table_.entries().back());
   generation_.fetch_add(1, std::memory_order_release);
+  entries_gauge().set(static_cast<double>(table_.size()));
+  lock.unlock();
   // Future loads of this digest should share the instance just stored.
   (void)interner_.intern(experiment.metadata_ptr());
   stores_counter().add(1);
-  entries_gauge().set(static_cast<double>(table_.size()));
   return id;
 }
 
@@ -468,7 +457,10 @@ std::size_t ExperimentRepository::migrate() {
     const std::filesystem::path path = directory_ / entry.file;
     const Experiment experiment = load_path(path, entry.format);
     entry.meta = ensure_blob(experiment.metadata());
-    write_experiment_file(experiment, entry);
+    const std::string bytes = encode_experiment(experiment, entry);
+    write_experiment_file(entry, bytes);
+    entry.digest = fnv1a(bytes);
+    entry.bytes = bytes.size();
     (void)interner_.intern(experiment.metadata_ptr());
     if (index_) {
       index_->assert_owned();
@@ -569,10 +561,11 @@ void ExperimentRepository::remove(const std::string& id) {
   std::error_code ec;
   std::filesystem::remove(directory_ / file, ec);
   if (!meta.empty() && !blob_referenced(meta)) {
-    std::filesystem::remove(find_meta_blob(meta), ec);
+    std::filesystem::remove(find_blob(directory_ / kMetaDir, meta + ".meta"),
+                            ec);
   }
   if (!sev.empty() && !sev_referenced(sev)) {
-    std::filesystem::remove(find_sev_blob(sev), ec);
+    std::filesystem::remove(find_blob(directory_ / kSevDir, sev + ".sev"), ec);
   }
   generation_.fetch_add(1, std::memory_order_release);
   entries_gauge().set(static_cast<double>(table_.size()));

@@ -97,13 +97,18 @@ class ExperimentRepository {
 
   /// Stores the experiment and returns its id (derived from the
   /// experiment's name, uniquified with a numeric suffix on collision).
-  /// The metadata blob is written only if its digest is new; columnar
-  /// stores do the same for the severity blob.  The experiment file is
-  /// serialized to a buffer first and its FNV-1a digest and size recorded
-  /// in the index.  Under the sharded layout this is one record append —
-  /// O(1) in repository size.
+  /// The metadata blob is written only if its digest is new (encoded only
+  /// then); columnar stores do the same for the severity blob.  The
+  /// experiment file is serialized to a buffer BEFORE the exclusive lock
+  /// is taken, and its FNV-1a digest and size are recorded in the index.
+  /// `file_bytes`, when given, is that buffer already encoded by the
+  /// caller (to_cube_binary_ref for RepoFormat::Binary, to_cube_xml_ref
+  /// for Xml) and is written as it is; the query engine encodes a root
+  /// once for the file and the daemon's reply this way.  Under the
+  /// sharded layout this is one record append — O(1) in repository size.
   std::string store(const Experiment& experiment,
-                    RepoFormat format = RepoFormat::Xml);
+                    RepoFormat format = RepoFormat::Xml,
+                    std::shared_ptr<const std::string> file_bytes = nullptr);
 
   /// Loads an experiment by id; throws cube::Error if unknown.  Metadata
   /// of blob-backed entries is interned: experiments over the same digest
@@ -204,6 +209,19 @@ class ExperimentRepository {
   /// list it twice), or std::nullopt.
   [[nodiscard]] std::optional<RepoEntry> find(const std::string& id) const;
 
+  /// Calls `fn(entry)` on the entry with `id` (as find() resolves it)
+  /// under the shared lock, without copying it; returns false, without
+  /// calling `fn`, when there is none.  `fn` must not call back into the
+  /// repository.
+  template <typename Fn>
+  bool with_entry(std::string_view id, Fn&& fn) const {
+    std::shared_lock lock(mutex_);
+    const RepoEntry* entry = table_.find(id);
+    if (entry == nullptr) return false;
+    fn(*entry);
+    return true;
+  }
+
   /// Entries whose attributes hold every (key, value) pair, in store
   /// order; every entry when `pairs` is empty.
   [[nodiscard]] std::vector<RepoEntry> select(
@@ -252,25 +270,14 @@ class ExperimentRepository {
   /// Records a mutated/added entry in the on-disk index (segment append
   /// or legacy index rewrite).
   void index_store(const RepoEntry& entry);
-  [[nodiscard]] std::string unique_id(const std::string& base) const;
   /// Writes the blob for `metadata` if absent; returns its hex digest.
   std::string ensure_blob(const Metadata& metadata) const;
-  /// Writes the CUBESEV1 blob for `severity` if absent; returns its hex
-  /// digest (of the blob bytes).
-  std::string ensure_sev_blob(const SeverityStore& severity) const;
   /// True if any entry references the meta / sev blob digest `hex`.
   [[nodiscard]] bool blob_referenced(const std::string& hex) const;
   [[nodiscard]] bool sev_referenced(const std::string& hex) const;
-  /// Existing on-disk location of a blob (sharded or flat), or the
-  /// layout's preferred location if absent.
-  [[nodiscard]] std::filesystem::path find_meta_blob(
-      const std::string& hex) const;
-  [[nodiscard]] std::filesystem::path find_sev_blob(
-      const std::string& hex) const;
-  /// Writes the entry's experiment file and records its digest and size
-  /// on `entry`.
-  void write_experiment_file(const Experiment& experiment,
-                             RepoEntry& entry) const;
+  /// Writes `bytes` as the entry's experiment file.
+  void write_experiment_file(const RepoEntry& entry,
+                             std::string_view bytes) const;
   /// Shared body of compact()/compact_if_needed(); caller holds mutex_.
   std::size_t do_compact();
 

@@ -3,11 +3,12 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "io/binary_codec.hpp"
+#include "common/file_io.hpp"
 #include "obs/metrics.hpp"
 
 namespace cube {
@@ -27,15 +28,6 @@ constexpr std::size_t kHeaderBytes = 56;
 
 [[nodiscard]] std::string_view bytes_of(const void* data, std::size_t n) {
   return std::string_view(static_cast<const char*>(data), n);
-}
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-  // Little-endian, like the CUBEBIN/CUBEMET codecs.
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out.write(buf, 8);
 }
 
 struct SparseColumns {
@@ -129,16 +121,6 @@ struct Header {
   return h;
 }
 
-[[nodiscard]] std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw Error("cannot open " + path.string());
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
-
 }  // namespace
 
 std::string sev_blob_name(std::uint64_t digest) {
@@ -166,49 +148,42 @@ bool is_cube_sev(std::string_view data) noexcept {
          data.substr(0, kMagic.size()) == kMagic;
 }
 
-void write_cube_sev(const SeverityStore& store, std::ostream& out) {
-  const std::uint64_t kind =
-      store.kind() == StorageKind::Dense ? kKindDense : kKindSparse;
-  out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-  put_u64(out, kind);
-  put_u64(out, store.num_metrics());
-  put_u64(out, store.num_cnodes());
-  put_u64(out, store.num_threads());
-  if (kind == kKindDense) {
-    const auto& dense = static_cast<const DenseSeverity&>(store);
-    const auto cells = dense.cells();
-    put_u64(out, cells.size());
-    Fnv1a digest;
-    digest.update(bytes_of(cells.data(), cells.size() * sizeof(Severity)));
-    put_u64(out, digest.value());
-    out.write(reinterpret_cast<const char*>(cells.data()),
-              static_cast<std::streamsize>(cells.size() * sizeof(Severity)));
-  } else {
-    const auto& sparse = static_cast<const SparseSeverity&>(store);
-    const SparseColumns cols = sparse_columns(sparse);
-    put_u64(out, cols.keys.size());
-    Fnv1a digest;
-    digest.update(
-        bytes_of(cols.keys.data(), cols.keys.size() * sizeof(std::uint64_t)));
-    digest.update(
-        bytes_of(cols.values.data(), cols.values.size() * sizeof(Severity)));
-    put_u64(out, digest.value());
-    out.write(reinterpret_cast<const char*>(cols.keys.data()),
-              static_cast<std::streamsize>(cols.keys.size() *
-                                           sizeof(std::uint64_t)));
-    out.write(reinterpret_cast<const char*>(cols.values.data()),
-              static_cast<std::streamsize>(cols.values.size() *
-                                           sizeof(Severity)));
-  }
-  if (!out) {
-    throw Error("severity blob write failed");
-  }
-}
-
 std::string to_cube_sev(const SeverityStore& store) {
-  std::ostringstream out(std::ios::binary);
-  write_cube_sev(store, out);
-  return std::move(out).str();
+  // One buffer, sized up front: the header (little-endian, like the
+  // CUBEBIN/CUBEMET codecs), then the payload columns.
+  std::string out;
+  detail::BinaryEncoder e(out);
+  const auto header = [&](std::uint64_t kind, std::uint64_t entries,
+                          std::uint64_t digest, std::size_t payload) {
+    out.reserve(kHeaderBytes + payload);
+    e.bytes(kMagic);
+    for (const std::uint64_t field :
+         {kind, std::uint64_t{store.num_metrics()},
+          std::uint64_t{store.num_cnodes()}, std::uint64_t{store.num_threads()},
+          entries, digest}) {
+      e.u64(field);
+    }
+  };
+  if (store.kind() == StorageKind::Dense) {
+    const auto cells = static_cast<const DenseSeverity&>(store).cells();
+    const std::string_view payload =
+        bytes_of(cells.data(), cells.size() * sizeof(Severity));
+    header(kKindDense, cells.size(), fnv1a(payload), payload.size());
+    e.bytes(payload);
+    return out;
+  }
+  const SparseColumns cols =
+      sparse_columns(static_cast<const SparseSeverity&>(store));
+  const std::string_view keys =
+      bytes_of(cols.keys.data(), cols.keys.size() * sizeof(std::uint64_t));
+  const std::string_view values =
+      bytes_of(cols.values.data(), cols.values.size() * sizeof(Severity));
+  header(kKindSparse, cols.keys.size(),
+         Fnv1a().update(keys).update(values).value(),
+         keys.size() + values.size());
+  e.bytes(keys);
+  e.bytes(values);
+  return out;
 }
 
 std::unique_ptr<SeverityStore> read_cube_sev(std::string_view data) {
@@ -250,7 +225,7 @@ std::unique_ptr<SeverityStore> read_cube_sev(std::string_view data) {
 std::unique_ptr<SeverityStore> read_cube_sev_file(
     const std::filesystem::path& path) {
   try {
-    return read_cube_sev(read_file(path));
+    return read_cube_sev(read_bytes(path));
   } catch (const Error& e) {
     throw Error(path.string() + ": " + e.what());
   }
@@ -353,7 +328,7 @@ SevBlobStat stat_cube_sev_file(const std::filesystem::path& path) {
 }
 
 void check_cube_sev_file(const std::filesystem::path& path) {
-  const std::string data = read_file(path);
+  const std::string data = read_bytes(path);
   const Header h = parse_header(data, path.string());
   const std::string_view payload =
       std::string_view(data).substr(kHeaderBytes);

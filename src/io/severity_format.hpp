@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -58,7 +57,6 @@ using SeverityResolver = std::function<std::unique_ptr<SeverityStore>(
 
 /// Serializes a store as a CUBESEV1 blob.  Dense stores write every cell;
 /// sparse stores write the sorted non-zero columns.
-void write_cube_sev(const SeverityStore& store, std::ostream& out);
 [[nodiscard]] std::string to_cube_sev(const SeverityStore& store);
 
 /// Deserializes a blob into an owned store, verifying the payload digest.

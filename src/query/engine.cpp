@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <vector>
 
@@ -47,6 +48,22 @@ Experiment read_stored(const ExperimentRepository& repo,
   Experiment experiment = repo.load_path(file.path, file.format);
   if (validate) lint::require_valid(experiment, file.path.string());
   return experiment;
+}
+
+/// Runs `fn` on a worker of `pool` (inline without one), waits for it
+/// and rethrows what it threw.
+void run_on(ThreadPool* pool, const std::function<void()>& fn) {
+  if (pool == nullptr) return fn();
+  std::promise<void> done;
+  pool->submit([&] {
+    try {
+      fn();
+      done.set_value();
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  done.get_future().get();
 }
 
 /// How the executor handles one plan node.
@@ -193,8 +210,9 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
       case Action::LoadOperand: {
         OBS_SPAN("query.load");
         const auto t0 = Clock::now();
-        const StoredFile file{node.operand.path, node.operand.format,
-                              node.operand.digest, node.operand.bytes};
+        const StoredFile file{repo_.directory() / node.operand.file,
+                              node.operand.format, node.operand.digest,
+                              node.operand.bytes};
         auto e = std::make_shared<Experiment>(
             read_stored(repo_, file, options_.validate_loads));
         std::lock_guard<std::mutex> lock(mutex);
@@ -235,10 +253,12 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         }
         auto e = std::make_shared<Experiment>(std::move(out));
         const double eval_ms = ms_since(t0);
-        std::lock_guard<std::mutex> lock(mutex);
-        if (options_.store_derived) {
+        // Stored outside `mutex` (the repository synchronizes itself);
+        // the root is stored by the caller once the DAG is done.
+        if (options_.store_derived && i != plan.root) {
           repo_.store(*e, RepoFormat::Binary);
         }
+        std::lock_guard<std::mutex> lock(mutex);
         results[i] = std::move(e);
         ++stats.nodes_evaluated;
         if (options_.use_cache) ++stats.cache_misses;
@@ -330,6 +350,16 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
     }
   }
 
+  // The root's bytes outlive the run as the daemon's reply body: encode
+  // them on this thread and record them from a pool worker.  Bodies in a
+  // worker's malloc arena, or index records in this thread's, fragment
+  // the arena the result cache churns (EXPERIMENTS.md A18: +15-25 MB RSS).
+  std::shared_ptr<const std::string> root_bytes;
+  if (options_.store_derived && action[plan.root] == Action::Compute) {
+    const Experiment& root = *results[plan.root];
+    root_bytes = std::make_shared<const std::string>(to_cube_binary_ref(root));
+    run_on(pool_, [&] { repo_.store(root, RepoFormat::Binary, root_bytes); });
+  }
   stats.exec_ms = ms_since(t_exec);
   stats.total_ms = ms_since(t_total);
   // Feed the process-wide registry: the run's kernel counters plus the
@@ -348,7 +378,7 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
   QueryResult result{root.use_count() == 1 ? std::move(*root)
                                            : root->clone(),
                      stats, plan.nodes[plan.root].canonical,
-                     run_metrics.snapshot()};
+                     run_metrics.snapshot(), std::move(root_bytes)};
   return result;
 }
 

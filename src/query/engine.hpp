@@ -77,6 +77,10 @@ struct QueryResult {
   /// The run's own metrics registry: the severity-kernel counters of its
   /// operator applications (cube::kernel_counters) and the query.* tallies.
   std::vector<obs::MetricSample> metrics;
+  /// The CUBEBIN2 bytes this run stored as the root's repository file —
+  /// to_cube_binary_ref(experiment) — or null when it stored no root
+  /// (store_derived off, or a root served by a load).
+  std::shared_ptr<const std::string> stored_bytes;
 };
 
 /// Evaluates queries against a repository.  One engine may serve MANY

@@ -1,7 +1,6 @@
 #include "query/planner.hpp"
 
 #include <map>
-#include <optional>
 #include <string_view>
 
 #include "common/digest.hpp"
@@ -63,7 +62,7 @@ class Planner {
     switch (expr.kind()) {
       case QueryExpr::Kind::Ref:
       case QueryExpr::Kind::Id:
-        return {load_node(find_id(expr))};
+        return {find_id(expr)};
       case QueryExpr::Kind::Attr:
       case QueryExpr::Kind::Series: {
         std::vector<std::size_t> nodes;
@@ -121,13 +120,17 @@ class Planner {
     return index;
   }
 
-  RepoEntry find_id(const QueryExpr& expr) {
-    std::optional<RepoEntry> entry = repo_.find(expr.name());
-    if (!entry) {
+  /// The load node of the entry `expr` names, planned from the index
+  /// record in place (no copy of the entry).
+  std::size_t find_id(const QueryExpr& expr) {
+    std::size_t node = 0;
+    if (!repo_.with_entry(expr.name(), [&](const RepoEntry& entry) {
+          node = load_node(entry);
+        })) {
       throw Error("repository has no experiment with id '" + expr.name() +
                   "' (referenced by " + expr.str() + ")");
     }
-    return std::move(*entry);
+    return node;
   }
 
   std::vector<RepoEntry> match_selector(const QueryExpr& expr) {
@@ -152,13 +155,13 @@ class Planner {
     PlanNode node;
     node.kind = PlanNode::Kind::Load;
     node.operand.id = entry.id;
-    node.operand.path = repo_.directory() / entry.file;
+    node.operand.file = entry.file;
     node.operand.format = entry.format;
     if (!entry.digest) {
       // Only an entry whose file was unreadable when its digest-less
       // (older) index record was read lacks a digest.
-      throw IoError("cannot read '" + node.operand.path.string() +
-                    "' for digest");
+      throw IoError("cannot read '" +
+                    (repo_.directory() / entry.file).string() + "' for digest");
     }
     node.operand.digest = *entry.digest;
     node.operand.bytes = entry.bytes;

@@ -55,7 +55,7 @@ inline constexpr const char* kCacheOperandsAttribute = "cube::cache-operands";
 /// A stored experiment an evaluation will read.
 struct ResolvedOperand {
   std::string id;               ///< repository id
-  std::filesystem::path path;   ///< absolute file path
+  std::string file;             ///< file path relative to the repository
   RepoFormat format = RepoFormat::Xml;
   std::uint64_t digest = 0;     ///< FNV-1a of the file bytes (recorded)
   std::uintmax_t bytes = 0;     ///< file size (recorded)

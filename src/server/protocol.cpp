@@ -1,7 +1,6 @@
 #include "server/protocol.hpp"
 
-#include <cstring>
-#include <sstream>
+#include <initializer_list>
 
 #include "common/posix_io.hpp"
 #include "io/binary_codec.hpp"
@@ -28,32 +27,6 @@ void require_done(const detail::BinaryDecoder& d, const char* what) {
     throw ProtocolError(std::string("malformed ") + what +
                         " payload: trailing bytes after the last field");
   }
-}
-
-void put_u32(char* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
-}
-
-void put_u64(char* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const char* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[i]))
-         << (8 * i);
-  }
-  return v;
 }
 
 constexpr std::size_t kHeaderSize = 16;
@@ -85,16 +58,30 @@ const char* msg_type_name(MsgType type) noexcept {
   return "unknown";
 }
 
-std::size_t write_frame(int fd, MsgType type, std::string_view payload) {
+namespace {
+
+/// Writes one frame whose payload is `pieces` back to back: one header
+/// write, then one write per piece, each EINTR-safe and resumed across
+/// partial transfers, so a frame can never be torn by a signal.
+std::size_t write_pieces(int fd, MsgType type,
+                         std::initializer_list<std::string_view> pieces) {
+  std::uint64_t payload = 0;
+  for (const std::string_view piece : pieces) payload += piece.size();
   char header[kHeaderSize];
-  put_u32(header, kFrameMagic);
-  put_u32(header + 4, static_cast<std::uint32_t>(type));
-  put_u64(header + 8, payload.size());
-  // One header write, one payload write: both EINTR-safe and resumed
-  // across partial transfers, so a frame can never be torn by a signal.
+  detail::put_u32(header, kFrameMagic);
+  detail::put_u32(header + 4, static_cast<std::uint32_t>(type));
+  detail::put_u64(header + 8, payload);
   write_full(fd, header, kHeaderSize);
-  if (!payload.empty()) write_full(fd, payload.data(), payload.size());
-  return kHeaderSize + payload.size();
+  for (const std::string_view piece : pieces) {
+    if (!piece.empty()) write_full(fd, piece.data(), piece.size());
+  }
+  return kHeaderSize + payload;
+}
+
+}  // namespace
+
+std::size_t write_frame(int fd, MsgType type, std::string_view payload) {
+  return write_pieces(fd, type, {payload});
 }
 
 std::optional<Frame> read_frame(int fd, std::uint64_t max_payload) {
@@ -106,14 +93,14 @@ std::optional<Frame> read_frame(int fd, std::uint64_t max_payload) {
                         std::to_string(got) + " of " +
                         std::to_string(kHeaderSize) + " bytes)");
   }
-  if (get_u32(header) != kFrameMagic) {
+  if (detail::get_u32(header) != kFrameMagic) {
     throw ProtocolError("bad frame magic (not a cubed peer?)");
   }
-  const std::uint32_t raw_type = get_u32(header + 4);
+  const std::uint32_t raw_type = detail::get_u32(header + 4);
   if (!known_type(raw_type)) {
     throw ProtocolError("unknown message type " + std::to_string(raw_type));
   }
-  const std::uint64_t len = get_u64(header + 8);
+  const std::uint64_t len = detail::get_u64(header + 8);
   if (len > max_payload) {
     throw ProtocolError("frame payload of " + std::to_string(len) +
                         " bytes exceeds the " + std::to_string(max_payload) +
@@ -138,11 +125,11 @@ std::optional<Frame> read_frame(int fd, std::uint64_t max_payload) {
 // --- payload codecs -------------------------------------------------------
 
 std::string encode_hello(const HelloPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.u32(p.version);
   e.str(p.client);
-  return out.str();
+  return out;
 }
 
 HelloPayload decode_hello(std::string_view payload) {
@@ -157,12 +144,12 @@ HelloPayload decode_hello(std::string_view payload) {
 }
 
 std::string encode_hello_ok(const HelloOkPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.u32(p.version);
   e.str(p.server);
   e.u64(p.generation);
-  return out.str();
+  return out;
 }
 
 HelloOkPayload decode_hello_ok(std::string_view payload) {
@@ -178,12 +165,12 @@ HelloOkPayload decode_hello_ok(std::string_view payload) {
 }
 
 std::string encode_query(const QueryPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.str(p.text);
   e.u32(p.flags);
   e.u64(p.request_id);
-  return out.str();
+  return out;
 }
 
 QueryPayload decode_query(std::string_view payload) {
@@ -202,14 +189,31 @@ QueryPayload decode_query(std::string_view payload) {
 }
 
 std::string encode_result(const ResultPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.u32(static_cast<std::uint32_t>(p.served));
   e.str(p.meta_blob);
   e.str(p.body);
   e.str(p.canonical);
   e.f64(p.server_ms);
-  return out.str();
+  return out;
+}
+
+std::size_t write_result_frame(int fd, Served served,
+                               std::string_view meta_blob,
+                               std::string_view body,
+                               std::string_view canonical, double server_ms) {
+  // encode_result()'s payload in three pieces, the body borrowed.
+  std::string head;
+  detail::BinaryEncoder before(head);
+  before.u32(static_cast<std::uint32_t>(served));
+  before.str(meta_blob);
+  before.u32(static_cast<std::uint32_t>(body.size()));
+  std::string tail;
+  detail::BinaryEncoder after(tail);
+  after.str(canonical);
+  after.f64(server_ms);
+  return write_pieces(fd, MsgType::Result, {head, body, tail});
 }
 
 ResultPayload decode_result(std::string_view payload) {
@@ -232,7 +236,7 @@ ResultPayload decode_result(std::string_view payload) {
 }
 
 std::string encode_error(const ErrorPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.str(p.category);
   e.str(p.message);
@@ -244,7 +248,7 @@ std::string encode_error(const ErrorPayload& p) {
     e.str(diag.message);
     e.str(diag.hint);
   }
-  return out.str();
+  return out;
 }
 
 ErrorPayload decode_error(std::string_view payload) {
@@ -273,13 +277,13 @@ ErrorPayload decode_error(std::string_view payload) {
 }
 
 std::string encode_busy(const BusyPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.u32(p.retry_ms);
   e.u64(p.inflight);
   e.f64(p.queue_wait_ms);
   e.str(p.reason);
-  return out.str();
+  return out;
 }
 
 BusyPayload decode_busy(std::string_view payload) {
@@ -296,7 +300,7 @@ BusyPayload decode_busy(std::string_view payload) {
 }
 
 std::string encode_stats(const StatsPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.u32(static_cast<std::uint32_t>(p.samples.size()));
   for (const obs::MetricSample& s : p.samples) {
@@ -323,7 +327,7 @@ std::string encode_stats(const StatsPayload& p) {
     e.f64(q.serialize_ms);
     e.u64(q.sequence);
   }
-  return out.str();
+  return out;
 }
 
 StatsPayload decode_stats(std::string_view payload) {
@@ -372,10 +376,10 @@ StatsPayload decode_stats(std::string_view payload) {
 }
 
 std::string encode_health(const HealthPayload& p) {
-  std::ostringstream out;
+  std::string out;
   detail::BinaryEncoder e(out);
   e.str(p.json);
-  return out.str();
+  return out;
 }
 
 HealthPayload decode_health(std::string_view payload) {

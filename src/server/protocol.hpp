@@ -196,6 +196,14 @@ struct HealthPayload {
 [[nodiscard]] std::string encode_query(const QueryPayload& p);
 [[nodiscard]] QueryPayload decode_query(std::string_view payload);
 [[nodiscard]] std::string encode_result(const ResultPayload& p);
+/// Writes the Result frame of encode_result() from borrowed bytes: the
+/// server sends a cached body straight from the shared entry, without
+/// copying it into a payload.  Returns the bytes put on the wire; throws
+/// like write_frame().
+std::size_t write_result_frame(int fd, Served served,
+                               std::string_view meta_blob,
+                               std::string_view body,
+                               std::string_view canonical, double server_ms);
 [[nodiscard]] ResultPayload decode_result(std::string_view payload);
 [[nodiscard]] std::string encode_error(const ErrorPayload& p);
 [[nodiscard]] ErrorPayload decode_error(std::string_view payload);

@@ -212,15 +212,14 @@ void CubedServer::session_loop(Session& session) {
               service_.handle_query(query.text, query.request_id);
           switch (outcome.status) {
             case QueryOutcome::Status::Ok: {
-              ResultPayload result;
-              result.served = outcome.served;
-              result.canonical = outcome.result->canonical;
-              result.server_ms = outcome.server_ms;
-              result.body = *outcome.result->body;
-              if (sent_metas.insert(outcome.result->meta_digest).second) {
-                result.meta_blob = *outcome.result->meta_blob;
-              }
-              (void)write_frame(fd, MsgType::Result, encode_result(result));
+              const CachedResult& cached = *outcome.result;
+              const bool ship_meta =
+                  sent_metas.insert(cached.meta_digest).second;
+              (void)write_result_frame(
+                  fd, outcome.served,
+                  ship_meta ? std::string_view(*cached.meta_blob)
+                            : std::string_view(),
+                  *cached.body, cached.canonical, outcome.server_ms);
               break;
             }
             case QueryOutcome::Status::Busy:

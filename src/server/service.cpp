@@ -321,8 +321,12 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
       cached.meta_digest = result.experiment.metadata().digest();
       cached.meta_blob = std::make_shared<const std::string>(
           to_cube_meta(result.experiment.metadata()));
-      cached.body = std::make_shared<const std::string>(
-          to_cube_binary_ref(result.experiment));
+      // The root's stored file IS its CUBEBIN2 body: reuse those bytes
+      // and encode only when the run stored no root.
+      cached.body = result.stored_bytes
+                        ? std::move(result.stored_bytes)
+                        : std::make_shared<const std::string>(
+                              to_cube_binary_ref(result.experiment));
       slow.serialize_ms = static_cast<double>(now_ns() - ser_t0) / 1e6;
     }
     std::shared_ptr<const CachedResult> published =

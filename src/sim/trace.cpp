@@ -1,10 +1,9 @@
 #include "sim/trace.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 
 namespace cube::sim {
 
@@ -174,20 +173,11 @@ Trace deserialize_trace(std::string_view data) {
 }
 
 void write_trace_file(const Trace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot create file '" + path + "'");
-  const std::string data = serialize_trace(trace);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.flush();
-  if (!out) throw IoError("write to '" + path + "' failed");
+  write_bytes(path, serialize_trace(trace));
 }
 
 Trace read_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return deserialize_trace(buffer.str());
+  return deserialize_trace(read_bytes(path));
 }
 
 }  // namespace cube::sim

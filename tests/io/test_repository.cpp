@@ -9,7 +9,10 @@
 
 #include "algebra/operators.hpp"
 #include "common/error.hpp"
+#include "common/digest.hpp"
+#include "io/binary_format.hpp"
 #include "io/cube_format.hpp"
+#include "obs/metrics.hpp"
 #include "testutil.hpp"
 
 namespace cube {
@@ -399,6 +402,126 @@ TEST_F(RepositoryTest, ConcurrentStoresAndSnapshotsAreSafe) {
   }
   EXPECT_EQ(repo.entries_snapshot().size(),
             static_cast<std::size_t>(kThreads * kEach));
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_F(RepositoryTest, StoreWritesTheBytesItRecords) {
+  ExperimentRepository repo(dir_);
+  for (const RepoFormat format :
+       {RepoFormat::Xml, RepoFormat::Binary, RepoFormat::Columnar}) {
+    const std::string id = repo.store(make_small(), format);
+    const RepoEntry entry = *repo.find(id);
+    const std::string bytes = file_bytes(dir_ / entry.file);
+    EXPECT_EQ(entry.digest, fnv1a(bytes));
+    EXPECT_EQ(entry.bytes, bytes.size());
+    if (format == RepoFormat::Binary) {
+      EXPECT_EQ(bytes, to_cube_binary_ref(make_small()));
+    }
+  }
+  // Bytes the caller encoded are written as they are.
+  const auto encoded =
+      std::make_shared<const std::string>(to_cube_binary_ref(make_small()));
+  const RepoEntry entry =
+      *repo.find(repo.store(make_small(), RepoFormat::Binary, encoded));
+  EXPECT_EQ(file_bytes(dir_ / entry.file), *encoded);
+  EXPECT_EQ(entry.digest, fnv1a(*encoded));
+}
+
+TEST_F(RepositoryTest, StoringAKnownMetadataDigestEncodesNoBlob) {
+  ExperimentRepository repo(dir_);
+  obs::Counter& meta_written = obs::MetricsRegistry::global().counter(
+      "io.meta.bytes_written", obs::SampleUnit::Bytes);
+  const std::uint64_t before = meta_written.value();
+  (void)repo.store(make_small(), RepoFormat::Binary);
+  const std::uint64_t after_first = meta_written.value();
+  EXPECT_GT(after_first, before);
+  Experiment second = make_small();
+  second.severity().set(0, 0, 0, 9.0);
+  (void)repo.store(second, RepoFormat::Xml);
+  EXPECT_EQ(meta_written.value(), after_first);
+  EXPECT_EQ(count_blobs(dir_), 1u);
+}
+
+TEST_F(RepositoryTest, CollidingNamesGetTheLowestFreeSuffix) {
+  // The per-name suffix hint must give exactly the ids of a search from
+  // suffix 2, including after removals below the hint.
+  ExperimentRepository repo(dir_);
+  std::set<std::string> live;
+  const auto probing_rule = [&] {
+    if (live.count("run") == 0) return std::string("run");
+    for (std::size_t k = 2;; ++k) {
+      std::string id = "run-" + std::to_string(k);
+      if (live.count(id) == 0) return id;
+    }
+  };
+  const Experiment e = make_small(StorageKind::Dense, "run");
+  const auto store_and_check = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const std::string want = probing_rule();
+      const std::string got = repo.store(e, RepoFormat::Binary);
+      ASSERT_EQ(got, want);
+      live.insert(got);
+    }
+  };
+  store_and_check(1000);
+  for (const char* id : {"run-500", "run-17", "run", "run-999", "run-2"}) {
+    repo.remove(id);
+    live.erase(id);
+  }
+  store_and_check(1000);
+  repo.remove("run-1500");
+  live.erase("run-1500");
+  store_and_check(3);
+  EXPECT_EQ(live.size(), repo.entries().size());
+}
+
+TEST_F(RepositoryTest, ConcurrentStoresAndRemovesOfOneName) {
+  // Stores encode before taking the lock; interleaved with removals of
+  // the same name, every id must still be unique and every file must be
+  // the bytes its experiment encodes to.
+  ExperimentRepository repo(dir_);
+  constexpr int kThreads = 4;
+  constexpr int kEach = 12;
+  std::vector<std::thread> threads;
+  std::vector<std::vector<std::pair<std::string,
+                                    std::shared_ptr<const std::string>>>>
+      stored(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kEach; ++k) {
+        Experiment e = make_small(StorageKind::Dense, "run");
+        e.severity().set(0, 0, 0, static_cast<double>(t * 100 + k));
+        // A third of the stores write bytes this thread encoded itself,
+        // a third let store() encode, a third are columnar and removed.
+        std::shared_ptr<const std::string> bytes =
+            std::make_shared<const std::string>(to_cube_binary_ref(e));
+        const std::string id =
+            k % 3 == 0   ? repo.store(e, RepoFormat::Binary, bytes)
+            : k % 3 == 1 ? repo.store(e, RepoFormat::Binary)
+                         : repo.store(e, RepoFormat::Columnar);
+        if (k % 3 == 2) {
+          repo.remove(id);
+        } else {
+          stored[t].emplace_back(id, std::move(bytes));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<std::string> unique;
+  for (const auto& per_thread : stored) {
+    for (const auto& [id, bytes] : per_thread) {
+      EXPECT_TRUE(unique.insert(id).second) << "duplicate id " << id;
+      const std::optional<RepoEntry> entry = repo.find(id);
+      ASSERT_TRUE(entry.has_value()) << id;
+      EXPECT_EQ(*bytes, file_bytes(dir_ / entry->file)) << id;
+    }
+  }
+  EXPECT_EQ(repo.entries_snapshot().size(), unique.size());
 }
 
 }  // namespace

@@ -107,10 +107,10 @@ TEST_F(RecordedDigestTest, LegacyIndexKeepsItsCacheKeys) {
   const QueryPlan mean = plan_query(*parse_query(kMean), reopened);
   for (const PlanNode& node : mean.nodes) {
     if (node.kind != PlanNode::Kind::Load) continue;
-    EXPECT_EQ(node.operand.digest, digest_file(node.operand.path))
-        << node.operand.id;
+    const std::filesystem::path path = reopened.directory() / node.operand.file;
+    EXPECT_EQ(node.operand.digest, digest_file(path)) << node.operand.id;
     EXPECT_EQ(node.key, Fnv1a()
-                            .update(digest_file(node.operand.path))
+                            .update(digest_file(path))
                             .update(node.operand.meta_digest)
                             .value())
         << node.operand.id;

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/posix_io.hpp"
+#include "golden_inputs.hpp"
 
 namespace {
 
@@ -391,6 +394,44 @@ TEST(Protocol, MsgTypeNamesAreStable) {
   EXPECT_STREQ(msg_type_name(MsgType::Busy), "Busy");
   EXPECT_STREQ(msg_type_name(MsgType::ShutdownOk), "ShutdownOk");
   EXPECT_STREQ(msg_type_name(static_cast<MsgType>(999)), "unknown");
+}
+
+// Every payload encoder reproduces the committed golden bytes an earlier
+// stream-based encoder wrote (tests/golden_inputs.hpp).
+TEST(Protocol, PayloadsMatchTheCommittedEncodings) {
+  for (const cube::testing::GoldenFile& file :
+       cube::testing::golden_payload_files()) {
+    std::ifstream in(std::string(CUBE_GOLDEN_DIR) + "/" + file.name,
+                     std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden " << file.name;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(file.bytes, golden.str()) << file.name;
+  }
+}
+
+TEST(Protocol, ResultFrameFromBorrowedBytesEqualsThePayloadFrame) {
+  ResultPayload p;
+  p.served = Served::CacheHit;
+  p.meta_blob = std::string("met\0a", 5);
+  p.body = std::string(1000, '\x7f');
+  p.canonical = "max(id:x@0000000000000001)";
+  p.server_ms = 0.5;
+  for (const bool ship_meta : {true, false}) {
+    if (!ship_meta) p.meta_blob.clear();
+    Pipe want;
+    Pipe got;
+    const std::size_t want_n =
+        write_frame(want.w(), MsgType::Result, encode_result(p));
+    const std::size_t got_n = write_result_frame(
+        got.w(), p.served, p.meta_blob, p.body, p.canonical, p.server_ms);
+    EXPECT_EQ(got_n, want_n);
+    std::string want_bytes(want_n, '\0');
+    std::string got_bytes(got_n, '\0');
+    ASSERT_EQ(read_full(want.r(), want_bytes.data(), want_n), want_n);
+    ASSERT_EQ(read_full(got.r(), got_bytes.data(), got_n), got_n);
+    EXPECT_EQ(got_bytes, want_bytes);
+  }
 }
 
 }  // namespace

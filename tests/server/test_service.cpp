@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <memory>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/binary_format.hpp"
 #include "io/repository.hpp"
 #include "obs/metrics.hpp"
 #include "testutil.hpp"
@@ -555,6 +557,60 @@ TEST_F(ServiceTest, HousekeepingTickExportsOnInterval) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   enabled.housekeeping_tick();  // due now
   EXPECT_EQ(enabled.self_profile_windows(), 1u);
+}
+
+std::uint64_t bytes_written() {
+  return cube::obs::MetricsRegistry::global()
+      .counter("io.bin.bytes_written", cube::obs::SampleUnit::Bytes)
+      .value();
+}
+
+TEST_F(ServiceTest, ComputedRootBodyIsItsStoredFileEncodedOnce) {
+  ServiceConfig config;
+  config.threads = 2;
+  AnalysisService service(*repo_, config);
+  const std::size_t entries_before = repo_->entries().size();
+  const std::uint64_t before = bytes_written();
+  // Two computed nodes: the inner mean and the root diff.
+  const QueryOutcome out =
+      service.handle_query("diff(mean(" + a_ + ", " + b_ + "), " + a_ + ")");
+  ASSERT_EQ(out.status, QueryOutcome::Status::Ok);
+  ASSERT_EQ(out.served, Served::Computed);
+
+  const std::vector<cube::RepoEntry> entries = repo_->entries_snapshot();
+  ASSERT_EQ(entries.size(), entries_before + 2);
+  std::uint64_t stored_bytes = 0;
+  std::size_t roots = 0;
+  for (std::size_t i = entries_before; i < entries.size(); ++i) {
+    std::ifstream in(dir_ / entries[i].file, std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    stored_bytes += bytes.size();
+    if (entries[i].attributes.at("cube::cache-expr") ==
+        out.result->canonical) {
+      // The wire body is byte for byte the root's stored file ...
+      EXPECT_EQ(bytes, *out.result->body);
+      ++roots;
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  // ... and io.bin.bytes_written counts each stored cube once: the
+  // daemon did not encode the root a second time for the wire.
+  EXPECT_EQ(bytes_written() - before, stored_bytes);
+}
+
+TEST_F(ServiceTest, WithoutDerivedStoresTheServiceEncodesTheBody) {
+  ServiceConfig config;
+  config.threads = 2;
+  config.store_derived = false;
+  AnalysisService service(*repo_, config);
+  const std::uint64_t before = bytes_written();
+  const QueryOutcome out = service.handle_query("max(" + a_ + ", " + b_ + ")");
+  ASSERT_EQ(out.status, QueryOutcome::Status::Ok);
+  EXPECT_EQ(bytes_written() - before, out.result->body->size());
+  const Experiment back = cube::read_cube_binary(
+      *out.result->body, StorageKind::Dense, repo_->resolver());
+  EXPECT_EQ(back.severity().nonzero_count(),
+            repo_->load(a_).severity().nonzero_count());
 }
 
 }  // namespace
